@@ -90,7 +90,11 @@ void Run(BenchJson* json) {
                 Fmt(rep.served_mb_s, 2), Fmt(p50, 2), Fmt(p99, 2), Fmt(util, 2),
                 std::to_string(hits), rep.verified ? "yes" : "NO"});
 
-      json->AddScalarRow("d" + std::to_string(devices), rep.policy,
+      // Appended rather than `"x" + std::to_string(n)`, which GCC 12 at -O3
+      // flags with a false-positive -Wrestrict.
+      std::string row = "d";
+      row += std::to_string(devices);
+      json->AddScalarRow(row, rep.policy,
                          {{"devices", static_cast<double>(devices)},
                           {"offered", static_cast<double>(rep.offered)},
                           {"served", static_cast<double>(rep.served)},

@@ -1,44 +1,26 @@
 // bench_micro_engine: engine-level performance of the simulation core.
 //
-// Three measurements (see docs/PERFORMANCE.md):
-//  1. Event-churn throughput (events/sec) of the three queue engines on an
-//     ONFi-flavoured self-scheduling workload: the legacy binary heap over
-//     std::function (pre-rewrite engine), the same heap over EventFn
-//     (isolates the allocation win), and the calendar queue over EventFn
-//     (the production engine). The headline number is the calendar/legacy
-//     ratio.
-//  2. End-to-end simulated-ticks-per-wall-second and events/sec for a real
-//     workload on the heap vs calendar backend, with the two RunReports
-//     compared for equality (the A/B determinism contract).
-//  3. Sweep-runner scaling: wall time for a fixed batch of independent
+// Two measurements (see docs/PERFORMANCE.md):
+//  1. Event-churn throughput (events/sec) of the calendar event queue on an
+//     ONFi-flavoured self-scheduling workload, at a near-idle and a loaded
+//     in-flight population.
+//  2. Sweep-runner scaling: wall time for a fixed batch of independent
 //     simulations at 1..N threads.
-//  4. Conservative-PDES scaling (docs/PERFORMANCE.md, "Parallel DES"):
-//     sim-ticks/wall-s of a sharded event churn on the Table-1 ONFi timing
-//     mix at 1/2/4 worker threads (per-shard checksums byte-compared across
-//     thread counts), plus a full device run with pdes_threads set whose
-//     RunReport is byte-compared against the sequential engine's.
 //
 // Output includes machine-parsable lines of the form
 //     PERF <metric> <label> <value>
 // scripts/run_all.sh greps these for BENCH_perf.json and the perf gate.
 // Set FABACUS_MIN_EVENTS_PER_SEC to make the process exit non-zero when the
-// calendar engine's churn throughput falls below the threshold, and
+// loaded churn throughput falls below the threshold, and
 // FABACUS_MICRO_EVENTS to change the churn length (default 400000).
-// FABACUS_MIN_PDES_SPEEDUP gates the 4-thread PDES churn speedup (skipped
-// with a note when the machine has fewer than 4 hardware threads);
-// FABACUS_PDES_THREADS sets the device run's worker-thread count.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/pdes_engine.h"
-#include "src/sim/simulator.h"
 #include "src/sim/sweep_runner.h"
 
 namespace fabacus {
@@ -52,13 +34,12 @@ double Seconds(Clock::time_point a, Clock::time_point b) {
 
 // Delay mix drawn from the NAND timing constants the simulator schedules
 // with: mostly command/crossbar overheads and reads, a tail of program and
-// erase completions. Deterministic LCG, consumed in event-fire order — both
-// queue engines pop the same (when, seq) total order, so they execute
-// byte-identical workloads.
+// erase completions. Deterministic LCG, consumed in event-fire order, so
+// every run executes the same workload.
 Tick NextDelay(std::uint64_t* lcg) {
   *lcg = *lcg * 6364136223846793005ULL + 1442695040888963407ULL;
   // Multiply-shift keeps the generator off the critical path (a 64-bit
-  // modulo costs ~25 cycles, enough to blur the engines' difference).
+  // modulo costs ~25 cycles, a visible share of one event's cost).
   const std::uint64_t r = ((*lcg >> 32) * 100) >> 32;
   if (r < 50) {
     return kUs;  // command overhead / crossbar hop
@@ -75,10 +56,9 @@ Tick NextDelay(std::uint64_t* lcg) {
   return 6 * kMs;  // tBERS
 }
 
-// Self-scheduling churn over any queue with the Push/Pop/empty contract.
-template <typename Queue>
+// Self-scheduling churn over the event queue.
 struct Churn {
-  Queue q;
+  EventQueue q;
   std::uint64_t remaining = 0;
   Tick now = 0;
   std::uint64_t lcg = 0x9e3779b97f4a7c15ULL;
@@ -90,10 +70,8 @@ struct Churn {
     }
     --remaining;
     const Tick delay = NextDelay(&lcg);
-    // 24-byte capture (pointer + two words): bigger than std::function's
-    // 16-byte small-object buffer — the legacy engine heap-allocates per
-    // event, exactly as the simulator's real [this, id, tick] lambdas make
-    // it — and comfortably inside EventFn's 32-byte inline storage.
+    // 24-byte capture (pointer + two words), the size of the simulator's
+    // real [this, id, tick] lambdas: inside EventFn's 32-byte inline storage.
     const std::uint64_t a = lcg;
     const std::uint64_t b = remaining;
     q.Push(now + delay, [this, a, b] {
@@ -111,7 +89,7 @@ struct Churn {
     const Clock::time_point t0 = Clock::now();
     Tick when = 0;
     while (!q.empty()) {
-      typename Queue::Callback fn = q.Pop(&when);
+      EventQueue::Callback fn = q.Pop(&when);
       now = when;
       fn();
     }
@@ -120,91 +98,14 @@ struct Churn {
   }
 };
 
-// Best of `reps` fresh runs (first acts as warmup for the slab pool/heap).
-template <typename Queue>
+// Best of `reps` fresh runs (first acts as warmup for the slab pool).
 double ChurnEventsPerSec(std::uint64_t total, int reps, int inflight) {
   double best = 0.0;
   for (int r = 0; r < reps; ++r) {
-    Churn<Queue> churn;
+    Churn churn;
     best = std::max(best, churn.Run(total, inflight));
   }
   return best;
-}
-
-// --- Conservative-PDES churn ------------------------------------------------
-// The engine-scaling probe: every shard runs independent self-scheduling
-// chains on the same ONFi delay mix as micro-bench 1, with a trickle of
-// conservative cross-shard sends (two lookaheads out) to keep the mailboxes
-// honest. The event population is a pure function of the seeds, so the
-// per-shard checksums — and the final clock and event count — must be
-// byte-identical at every thread count; wall time is the only thing allowed
-// to change.
-
-struct alignas(64) ChurnLane {
-  std::uint64_t remaining = 0;
-  std::uint64_t lcg = 0;
-  std::uint64_t sink = 0;
-};
-
-void ArmChurn(PdesEngine* eng, std::vector<ChurnLane>* lanes, int shard) {
-  ChurnLane* lane = &(*lanes)[static_cast<std::size_t>(shard)];
-  if (lane->remaining == 0) {
-    return;
-  }
-  --lane->remaining;
-  const Tick delay = NextDelay(&lane->lcg);
-  const std::uint64_t a = lane->lcg;
-  eng->Schedule(shard, eng->Now() + delay, [eng, lanes, shard, a] {
-    ChurnLane* self = &(*lanes)[static_cast<std::size_t>(shard)];
-    self->sink += a ^ self->remaining;
-    if ((a & 63) == 0 && eng->shards() > 1) {
-      // Tagged marker to the next shard, comfortably past the lookahead
-      // horizon. Lands on (and is executed by) the destination shard, so the
-      // destination lane is the only state it touches.
-      const int dst = (shard + 1) % eng->shards();
-      eng->SendCross(dst, eng->Now() + 2 * eng->lookahead(), /*stamp=*/a,
-                     [lanes, dst, a] {
-                       (*lanes)[static_cast<std::size_t>(dst)].sink += ~a;
-                     });
-    }
-    ArmChurn(eng, lanes, shard);
-  });
-}
-
-struct PdesChurnResult {
-  double wall_seconds = 0.0;
-  double ticks_per_sec = 0.0;
-  std::string signature;
-};
-
-PdesChurnResult PdesChurn(int shards, int threads, std::uint64_t events_per_shard,
-                          int inflight_per_shard) {
-  PdesEngine::Options opt;
-  opt.shards = shards;
-  opt.threads = threads;
-  opt.lookahead = NandConfig{}.OnfiLookahead();  // the Table-1 ONFi floor (tR)
-  PdesEngine eng(opt);
-  std::vector<ChurnLane> lanes(static_cast<std::size_t>(shards));
-  for (int s = 0; s < shards; ++s) {
-    ChurnLane& lane = lanes[static_cast<std::size_t>(s)];
-    lane.remaining = events_per_shard;
-    lane.lcg = 0x9e3779b97f4a7c15ULL ^ (static_cast<std::uint64_t>(s) * 0xbf58476d1ce4e5b9ULL);
-    for (int k = 0; k < inflight_per_shard; ++k) {
-      ArmChurn(&eng, &lanes, s);
-    }
-  }
-  const Clock::time_point t0 = Clock::now();
-  const Tick end = eng.Run();
-  const Clock::time_point t1 = Clock::now();
-  PdesChurnResult r;
-  r.wall_seconds = Seconds(t0, t1);
-  r.ticks_per_sec = static_cast<double>(end) / r.wall_seconds;
-  r.signature = "end=" + std::to_string(end) +
-                " events=" + std::to_string(eng.events_executed());
-  for (const ChurnLane& lane : lanes) {
-    r.signature += " " + std::to_string(lane.sink);
-  }
-  return r;
 }
 
 std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
@@ -216,19 +117,6 @@ std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
   return n > 0 ? static_cast<std::uint64_t>(n) : fallback;
 }
 
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') {
-    return fallback;
-  }
-  const double d = std::atof(v);
-  return d > 0.0 ? d : fallback;
-}
-
-void Perf(const char* metric, const char* label, double value) {
-  std::printf("PERF %s %s %.0f\n", metric, label, value);
-}
-
 }  // namespace
 }  // namespace fabacus
 
@@ -237,59 +125,24 @@ int main() {
   const std::uint64_t kEvents = EnvU64("FABACUS_MICRO_EVENTS", 400000);
   constexpr int kReps = 3;
 
-  PrintHeader("Engine micro-bench 1: event-churn throughput (queue engines)");
+  PrintHeader("Engine micro-bench 1: event-churn throughput (calendar queue)");
   // Two in-flight populations: a near-idle device (64 pending events) and a
   // loaded one (16384 — 24 kernels fanning requests across 64 channel queues
-  // and write buffers). The loaded point is the headline: it is where the
-  // heap's O(log n) sifts over 56-byte std::function events dominate and
-  // where the calendar queue's O(1) ops + EventFn's zero allocation pay off.
-  PrintRow({"engine", "Mev/s @64", "Mev/s @16384", "vs legacy @16384"}, 28);
-  double legacy = 0.0;
-  double calendar = 0.0;
+  // and write buffers). The loaded point is the gated headline.
+  PrintRow({"in-flight events", "Mev/s"}, 20);
+  double loaded = 0.0;
   for (const int inflight : {64, 16384}) {
-    const double l = ChurnEventsPerSec<LegacyEventQueue>(kEvents, kReps, inflight);
-    const double h = ChurnEventsPerSec<BasicHeapEventQueue<EventFn>>(kEvents, kReps, inflight);
-    const double c = ChurnEventsPerSec<CalendarEventQueue>(kEvents, kReps, inflight);
+    const double c = ChurnEventsPerSec(kEvents, kReps, inflight);
     const char* tag = inflight == 64 ? "64" : "16384";
-    std::printf("PERF events_per_sec legacy_heap_stdfunction_%s %.0f\n", tag, l);
-    std::printf("PERF events_per_sec heap_eventfn_%s %.0f\n", tag, h);
     std::printf("PERF events_per_sec calendar_eventfn_%s %.0f\n", tag, c);
+    PrintRow({tag, Fmt(c / 1e6, 2)}, 20);
     if (inflight == 16384) {
-      legacy = l;
-      calendar = c;
-      PrintRow({"heap + std::function (old)", "", Fmt(l / 1e6, 2), "1.00x"}, 28);
-      PrintRow({"heap + EventFn", "", Fmt(h / 1e6, 2), Fmt(h / l, 2) + "x"}, 28);
-      PrintRow({"calendar + EventFn (new)", "", Fmt(c / 1e6, 2), Fmt(c / l, 2) + "x"}, 28);
-    } else {
-      PrintRow({"heap + std::function (old)", Fmt(l / 1e6, 2), "", ""}, 28);
-      PrintRow({"heap + EventFn", Fmt(h / 1e6, 2), "", ""}, 28);
-      PrintRow({"calendar + EventFn (new)", Fmt(c / 1e6, 2), "", ""}, 28);
+      loaded = c;
     }
   }
-  std::printf("PERF ratio calendar_vs_legacy %.2f\n", calendar / legacy);
 
-  PrintHeader("Engine micro-bench 2: end-to-end backend A/B (ATAX x6, IntraO3)");
+  PrintHeader("Engine micro-bench 2: sweep-runner scaling (8 independent sims)");
   const Workload* atax = WorkloadRegistry::Get().Find("ATAX");
-  BenchOptions heap_opt;
-  heap_opt.backend = EventQueue::Backend::kHeap;
-  const BenchRun on_heap = RunFlashAbacusSystem({atax}, 6, SchedulerKind::kIntraOutOfOrder,
-                                                heap_opt);
-  const BenchRun on_cal = RunFlashAbacusSystem({atax}, 6, SchedulerKind::kIntraOutOfOrder);
-  const bool identical = on_heap.result.ToJson() == on_cal.result.ToJson();
-  PrintRow({"backend", "events/s", "sim-ticks/wall-s", "wall(s)"}, 20);
-  PrintRow({"heap", Fmt(static_cast<double>(on_heap.events_executed) / on_heap.wall_seconds, 0),
-            Fmt(on_heap.sim_ticks / on_heap.wall_seconds, 0), Fmt(on_heap.wall_seconds, 3)},
-           20);
-  PrintRow({"calendar",
-            Fmt(static_cast<double>(on_cal.events_executed) / on_cal.wall_seconds, 0),
-            Fmt(on_cal.sim_ticks / on_cal.wall_seconds, 0), Fmt(on_cal.wall_seconds, 3)},
-           20);
-  std::printf("reports byte-identical across backends: %s\n", identical ? "yes" : "NO");
-  Perf("sim_ticks_per_wall_second", "heap", on_heap.sim_ticks / on_heap.wall_seconds);
-  Perf("sim_ticks_per_wall_second", "calendar", on_cal.sim_ticks / on_cal.wall_seconds);
-  Perf("report_ab_identical", "calendar_vs_heap", identical ? 1 : 0);
-
-  PrintHeader("Engine micro-bench 3: sweep-runner scaling (8 independent sims)");
   BenchOptions small;
   small.model_scale = kBenchScale / 4;  // keep the scaling probe quick
   PrintRow({"threads", "wall(s)", "speedup"}, 12);
@@ -314,98 +167,12 @@ int main() {
   std::printf("(hardware threads: %d; scaling is bounded by physical cores)\n",
               SweepRunner::DefaultThreads());
 
-  PrintHeader("Engine micro-bench 4: conservative-PDES scaling (4 shards, ONFi mix)");
-  // Shard count matches the device mapping on the Table-1 geometry: one
-  // event shard per flash channel. Every thread count executes the identical
-  // event population; the signature comparison is the determinism gate.
-  constexpr int kPdesShards = 4;
-  const std::uint64_t per_shard = kEvents / kPdesShards;
-  PrintRow({"threads", "wall(s)", "Gticks/wall-s", "speedup"}, 14);
-  bool pdes_identical = true;
-  double pdes_serial_wall = 0.0;
-  double pdes_speedup4 = 0.0;
-  std::string pdes_sig;
-  for (const int threads : {1, 2, 4}) {
-    PdesChurnResult best;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const PdesChurnResult r = PdesChurn(kPdesShards, threads, per_shard, /*inflight=*/16);
-      if (best.signature.empty() || r.wall_seconds < best.wall_seconds) {
-        best = r;
-      }
-    }
-    if (threads == 1) {
-      pdes_serial_wall = best.wall_seconds;
-      pdes_sig = best.signature;
-    } else if (best.signature != pdes_sig) {
-      pdes_identical = false;
-    }
-    const double speedup = pdes_serial_wall / best.wall_seconds;
-    if (threads == 4) {
-      pdes_speedup4 = speedup;
-    }
-    PrintRow({Fmt(threads, 0), Fmt(best.wall_seconds, 3), Fmt(best.ticks_per_sec / 1e9, 2),
-              Fmt(speedup, 2) + "x"},
-             14);
-    std::printf("PERF pdes_sim_ticks_per_wall_second threads_%d %.0f\n", threads,
-                best.ticks_per_sec);
-    std::printf("PERF pdes_wall_seconds threads_%d %.3f\n", threads, best.wall_seconds);
-  }
-  std::printf("PERF pdes_speedup threads_4 %.2f\n", pdes_speedup4);
-  Perf("pdes_identical", "churn_thread_counts", pdes_identical ? 1 : 0);
-  std::printf("per-shard checksums byte-identical across thread counts: %s\n",
-              pdes_identical ? "yes" : "NO");
-
-  // Device A/B: the same run as micro-bench 2's calendar row, now with the
-  // engine sharded per channel. The report must not move by a byte.
-  const int pdes_dev_threads =
-      static_cast<int>(EnvU64("FABACUS_PDES_THREADS", 4));
-  FlashAbacusConfig pdes_cfg;  // the default bench device (Table-1 geometry)
-  pdes_cfg.pdes_threads = pdes_dev_threads;
-  const BenchRun on_pdes = RunFlashAbacusSystem({atax}, 6, SchedulerKind::kIntraOutOfOrder,
-                                                pdes_cfg, BenchOptions{});
-  const bool pdes_dev_identical = on_pdes.result.ToJson() == on_cal.result.ToJson();
-  PrintRow({"device run", "events/s", "sim-ticks/wall-s", "wall(s)"}, 20);
-  PrintRow({"pdes@" + Fmt(pdes_dev_threads, 0),
-            Fmt(static_cast<double>(on_pdes.events_executed) / on_pdes.wall_seconds, 0),
-            Fmt(on_pdes.sim_ticks / on_pdes.wall_seconds, 0), Fmt(on_pdes.wall_seconds, 3)},
-           20);
-  std::printf("device report byte-identical to sequential: %s\n",
-              pdes_dev_identical ? "yes" : "NO");
-  Perf("sim_ticks_per_wall_second", "pdes_device", on_pdes.sim_ticks / on_pdes.wall_seconds);
-  Perf("report_ab_identical", "pdes_vs_sequential", pdes_dev_identical ? 1 : 0);
-
-  int rc = 0;
   const std::uint64_t min_eps = EnvU64("FABACUS_MIN_EVENTS_PER_SEC", 0);
-  if (min_eps > 0 && calendar < static_cast<double>(min_eps)) {
+  if (min_eps > 0 && loaded < static_cast<double>(min_eps)) {
     std::fprintf(stderr,
                  "PERF GATE FAILED: calendar engine %.0f events/s < required %llu\n",
-                 calendar, static_cast<unsigned long long>(min_eps));
-    rc = 1;
+                 loaded, static_cast<unsigned long long>(min_eps));
+    return 1;
   }
-  if (!identical) {
-    std::fprintf(stderr, "PERF GATE FAILED: heap/calendar reports differ\n");
-    rc = 1;
-  }
-  // PDES identity is unconditional; the speedup gate only makes sense when
-  // the machine can actually run 4 shard workers in parallel.
-  if (!pdes_identical) {
-    std::fprintf(stderr, "PERF GATE FAILED: PDES churn checksums differ across threads\n");
-    rc = 1;
-  }
-  if (!pdes_dev_identical) {
-    std::fprintf(stderr, "PERF GATE FAILED: PDES device report differs from sequential\n");
-    rc = 1;
-  }
-  const double min_pdes_speedup = EnvDouble("FABACUS_MIN_PDES_SPEEDUP", 0.0);
-  if (min_pdes_speedup > 0.0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw < 4) {
-      std::printf("PDES speedup gate skipped: %u hardware threads < 4\n", hw);
-    } else if (pdes_speedup4 < min_pdes_speedup) {
-      std::fprintf(stderr, "PERF GATE FAILED: PDES 4-thread speedup %.2fx < required %.2fx\n",
-                   pdes_speedup4, min_pdes_speedup);
-      rc = 1;
-    }
-  }
-  return rc;
+  return 0;
 }

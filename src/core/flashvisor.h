@@ -157,12 +157,9 @@ class Flashvisor : public Snapshottable {
   // `oob_tag` lands in the group's out-of-band record (the logical group for
   // data, or a kOob* constant). `*done_out` is max'ed with the program
   // completion; `*status_out` (optional) accumulates the worst non-fatal
-  // status (dead-die degradation). `*primary_channel` (optional) receives the
-  // critical-path channel of the accepted program (PDES shard affinity).
-  // Returns the physical group programmed.
+  // status (dead-die degradation). Returns the physical group programmed.
   std::uint32_t ProgramReliable(Tick now, std::uint32_t oob_tag, const void* payload,
-                                Tick* done_out, IoStatus* status_out = nullptr,
-                                int* primary_channel = nullptr);
+                                Tick* done_out, IoStatus* status_out = nullptr);
 
   // --- Power-loss crash recovery -------------------------------------------
   // Models the volatile state vanishing: mapping table, block-manager

@@ -38,12 +38,8 @@ FlashBackbone::OpResult FlashBackbone::ReadGroup(Tick now, std::uint64_t group, 
   OpResult r;
   Tick slices_done = 0;
   bool any_dead = false;
-  for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
-    FlashController& ctrl = *controllers_[ch];
-    const FlashController::ReadSliceResult s = ctrl.ReadSlice(now, addr);
-    if (s.done > slices_done || r.primary_channel < 0) {
-      r.primary_channel = static_cast<int>(ch);
-    }
+  for (const auto& ctrl : controllers_) {
+    const FlashController::ReadSliceResult s = ctrl->ReadSlice(now, addr);
     slices_done = std::max(slices_done, s.done);
     r.retry_rungs = std::max(r.retry_rungs, s.rungs);
     if (s.uncorrectable) {
@@ -86,11 +82,8 @@ FlashBackbone::OpResult FlashBackbone::ProgramGroup(Tick now, std::uint64_t grou
   bool any_dead = false;
   bool failed = false;
   Tick done = 0;
-  for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
-    const FlashController::ProgramSliceResult s = controllers_[ch]->ProgramSlice(at_fmc, addr);
-    if (s.done > done || r.primary_channel < 0) {
-      r.primary_channel = static_cast<int>(ch);
-    }
+  for (const auto& ctrl : controllers_) {
+    const FlashController::ProgramSliceResult s = ctrl->ProgramSlice(at_fmc, addr);
     done = std::max(done, s.done);
     failed = failed || s.failed;
     any_dead = any_dead || s.dead_die;
@@ -139,13 +132,10 @@ FlashBackbone::OpResult FlashBackbone::EraseBlockGroup(Tick now, int block) {
   // One failure draw per superblock erase: a failed erase retires the whole
   // block group, so every die's block is fenced off together.
   const bool failed = faults_.EraseFails(BlockGroupWear(block));
-  for (std::size_t ch = 0; ch < controllers_.size(); ++ch) {
+  for (const auto& ctrl : controllers_) {
     for (int pkg = 0; pkg < config_.packages_per_channel; ++pkg) {
       const FlashController::EraseSliceResult s =
-          controllers_[ch]->EraseSlice(now, pkg, block, failed);
-      if (s.done > done || r.primary_channel < 0) {
-        r.primary_channel = static_cast<int>(ch);
-      }
+          ctrl->EraseSlice(now, pkg, block, failed);
       done = std::max(done, s.done);
     }
   }

@@ -62,14 +62,6 @@ struct NandConfig {
   }
   std::uint64_t BlockGroupBytes() const { return GroupsPerBlockGroup() * GroupBytes(); }
   int total_dies() const { return channels * packages_per_channel; }
-  // Conservative-PDES lookahead (docs/PERFORMANCE.md): no flash operation
-  // completes in less than the fastest ONFi op, so a per-channel shard never
-  // needs to hear from a neighbor sooner than this. tR (81 us default) is
-  // the floor; cmd/bus overheads ride on top of it, never alone.
-  Tick OnfiLookahead() const {
-    Tick m = read_latency < program_latency ? read_latency : program_latency;
-    return m < erase_latency ? m : erase_latency;
-  }
 };
 
 // Physical coordinate of one page-group slot.

@@ -34,7 +34,6 @@
 #include "src/fleet/admission_queue.h"
 #include "src/fleet/fleet_faults.h"
 #include "src/fleet/health.h"
-#include "src/sim/event_queue.h"
 #include "src/fleet/shard_router.h"
 #include "src/fleet/traffic.h"
 #include "src/sim/metrics.h"
@@ -95,8 +94,6 @@ struct FleetConfig {
   // max_route_attempts == 1), else kLockstep.
   Execution execution = Execution::kAuto;
   int sweep_threads = 0;  // partitioned pool width; 0 = env/hardware default
-  // Event-queue backend of every shard simulator.
-  EventQueue::Backend backend = EventQueue::Backend::kCalendar;
 
   // Empty when runnable, else the first problem found.
   std::string Validate() const;

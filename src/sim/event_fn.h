@@ -9,10 +9,11 @@
 // for the rare oversized or non-trivial callables (e.g. ones capturing a
 // `std::function` continuation). The slab never touches malloc after warmup.
 // Each chunk is tagged with its owning pool, so an EventFn may be destroyed
-// on a different thread than the one that built it (the PDES engine moves
-// events across shard threads): a local free is a lock-free push onto the
-// owner's freelist, a remote free is a lock-free push onto the owner's
-// return stack, drained by the owner on its next refill.
+// on a different thread than the one that built it (a partitioned fleet run
+// builds each shard's Simulator on the caller thread and runs it on a
+// SweepRunner worker): a local free is a lock-free push onto the owner's
+// freelist, a remote free is a lock-free push onto the owner's return stack,
+// drained by the owner on its next refill.
 //
 // The inline budget is deliberately 32 and not larger: together with the two
 // dispatch pointers it makes EventFn 48 bytes, so a calendar-queue Event

@@ -3,54 +3,15 @@
 #include <utility>
 
 #include "src/sim/log.h"
-#include "src/sim/pdes_engine.h"
 
 namespace fabacus {
 
-Simulator::Simulator(EventQueue::Backend backend) : queue_(backend) {}
-Simulator::~Simulator() = default;
-
-void Simulator::EnablePdes(const PdesConfig& cfg) {
-  FAB_CHECK(!pdes_) << "PDES already enabled";
-  FAB_CHECK(queue_.empty()) << "EnablePdes before scheduling anything";
-  FAB_CHECK_EQ(now_, Tick{0}) << "EnablePdes on a fresh simulator";
-  PdesEngine::Options opt;
-  opt.shards = cfg.shards;
-  opt.threads = cfg.threads;
-  opt.lookahead = cfg.lookahead;
-  opt.backend = queue_.backend();
-  pdes_ = std::make_unique<PdesEngine>(opt);
-  pdes_->set_max_events(max_events_);
-}
-
-Tick Simulator::PdesNow() const { return pdes_->Now(); }
-
-void Simulator::PdesSchedule(Tick delay, EventQueue::Callback fn, bool daemon) {
-  pdes_->Schedule(/*shard=*/-1, pdes_->Now() + delay, std::move(fn), daemon);
-}
-
 void Simulator::ScheduleAt(Tick when, EventQueue::Callback fn) {
-  if (pdes_) {
-    // The engine re-checks against the executing shard's clock.
-    pdes_->Schedule(/*shard=*/-1, when, std::move(fn), /*daemon=*/false);
-    return;
-  }
   FAB_CHECK_GE(when, now_) << "event scheduled in the past";
   queue_.Push(when, std::move(fn));
 }
 
-void Simulator::NoteFlashCompletion(int channel, Tick done) {
-  if (!pdes_ || channel < 0) {
-    return;
-  }
-  const int dst = 1 + channel;  // shard 0 is the device; channels map to 1..N
-  if (dst < pdes_->shards()) {
-    pdes_->FlashRelay(dst, done);
-  }
-}
-
 bool Simulator::Step() {
-  FAB_CHECK(!pdes_) << "Step is sequential-only; PDES runs whole windows";
   if (queue_.empty()) {
     return false;
   }
@@ -64,9 +25,6 @@ bool Simulator::Step() {
 }
 
 Tick Simulator::Run() {
-  if (pdes_) {
-    return pdes_->Run();
-  }
   while (!queue_.empty() && !queue_.OnlyDaemonsLeft()) {
     FAB_CHECK_LT(events_executed_, max_events_) << "event budget exhausted";
     Step();
@@ -75,9 +33,6 @@ Tick Simulator::Run() {
 }
 
 Tick Simulator::RunUntil(Tick deadline) {
-  if (pdes_) {
-    return pdes_->RunUntil(deadline);
-  }
   while (!queue_.empty() && queue_.NextTime() <= deadline) {
     FAB_CHECK_LT(events_executed_, max_events_) << "event budget exhausted";
     Step();
@@ -86,41 +41,6 @@ Tick Simulator::RunUntil(Tick deadline) {
     now_ = deadline;
   }
   return now_;
-}
-
-void Simulator::Halt() {
-  if (pdes_) {
-    pdes_->Clear();
-    return;
-  }
-  queue_.Clear();
-}
-
-std::size_t Simulator::pending_events() const {
-  return pdes_ ? pdes_->size() : queue_.size();
-}
-
-std::uint64_t Simulator::events_executed() const {
-  return pdes_ ? pdes_->events_executed() : events_executed_;
-}
-
-void Simulator::set_max_events(std::uint64_t n) {
-  max_events_ = n;
-  if (pdes_) {
-    pdes_->set_max_events(n);
-  }
-}
-
-bool Simulator::OnlyDaemonsPending() const {
-  return pdes_ ? pdes_->OnlyDaemonsLeft() : queue_.OnlyDaemonsLeft();
-}
-
-void Simulator::LoadState(StateReader& r) {
-  now_ = r.U64();
-  events_executed_ = r.U64();
-  if (pdes_) {
-    pdes_->RestoreClock(now_, events_executed_);
-  }
 }
 
 }  // namespace fabacus

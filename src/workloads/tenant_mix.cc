@@ -124,7 +124,10 @@ TenantSchedConfig FairShareTenants(TenantSchedPolicy policy,
   cfg.policy = policy;
   for (std::size_t i = 0; i < weights.size(); ++i) {
     TenantSpec t;
-    t.name = "t" + std::to_string(i);
+    // Appended rather than `"x" + std::to_string(n)`, which GCC 12 at -O3
+    // flags with a false-positive -Wrestrict.
+    t.name = "t";
+    t.name += std::to_string(i);
     t.weight = weights[i];
     cfg.tenants.push_back(t);
   }

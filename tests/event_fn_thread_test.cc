@@ -1,7 +1,8 @@
-// Cross-thread lifetime tests for EventFn's slab allocator: PDES workers
-// execute (and therefore destroy) events that another thread's pool
-// allocated, and a shard thread can exit while its allocations are still
-// live on other threads. Remote frees route back to the owning pool's
+// Cross-thread lifetime tests for EventFn's slab allocator: a partitioned
+// fleet run builds each shard's Simulator on the caller thread and runs it
+// on a SweepRunner worker, so events are executed (and therefore destroyed)
+// off the thread whose pool allocated them, and a worker can exit while its
+// allocations are still live on other threads. Remote frees route back to the owning pool's
 // free list; the last outstanding chunk keeps a dead thread's pool alive.
 #include <gtest/gtest.h>
 

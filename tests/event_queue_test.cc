@@ -1,20 +1,65 @@
-// Unit tests for the rewritten event core: EventFn storage classes, the
-// calendar queue's ordering/daemon/Clear contract, and randomized A/B
-// equivalence against the legacy heap engine.
+// Unit tests for the event core: EventFn storage classes, the calendar
+// queue's ordering/daemon/Clear contract, and randomized equivalence against
+// a binary-heap reference queue.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
 #include "src/sim/event_fn.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/sim/simulator.h"
 
 namespace fabacus {
 namespace {
+
+// Reference oracle for the calendar queue: a plain binary heap under the same
+// (when, seq) order and daemon bookkeeping.
+class BasicHeapEventQueue {
+ public:
+  void Push(Tick when, EventFn fn, bool daemon = false) {
+    heap_.push(Event{when, next_seq_++, std::move(fn), daemon});
+    if (!daemon) {
+      ++non_daemon_count_;
+    }
+  }
+
+  bool empty() const { return heap_.empty(); }
+  bool OnlyDaemonsLeft() const { return non_daemon_count_ == 0; }
+  Tick NextTime() const { return heap_.top().when; }
+
+  EventFn Pop(Tick* when) {
+    // priority_queue::top() returns const&; the callback must be moved out.
+    Event& top = const_cast<Event&>(heap_.top());
+    *when = top.when;
+    EventFn fn = std::move(top.fn);
+    if (!top.daemon) {
+      --non_daemon_count_;
+    }
+    heap_.pop();
+    return fn;
+  }
+
+ private:
+  struct Event {
+    Tick when;
+    std::uint64_t seq;
+    EventFn fn;
+    bool daemon;
+  };
+  struct Later {
+    bool operator()(const Event& a, const Event& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
+
+  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::uint64_t next_seq_ = 0;
+  std::size_t non_daemon_count_ = 0;
+};
 
 // The storage-class contract the engine's performance rests on: hot-path
 // lambdas (pointers, ids, ticks) must stay inline; fat or non-trivial
@@ -191,13 +236,13 @@ TEST(CalendarQueue, ResizesUnderLoadWithoutReordering) {
   EXPECT_LT(q.bucket_count(), std::size_t{1} << 16);
 }
 
-// Randomized A/B: the calendar queue must pop the exact (when, seq) sequence
-// the legacy heap pops, including daemon bookkeeping, under a mix of
-// interleaved pushes and pops at ONFi-like spacings.
+// Randomized oracle check: the calendar queue must pop the exact (when, seq)
+// sequence the reference heap pops, including daemon bookkeeping, under a mix
+// of interleaved pushes and pops at ONFi-like spacings.
 TEST(CalendarQueue, MatchesLegacyHeapOnRandomWorkload) {
   Rng rng(7);
   CalendarEventQueue cal;
-  LegacyEventQueue heap;
+  BasicHeapEventQueue heap;
   std::vector<std::pair<Tick, int>> cal_fired;
   std::vector<std::pair<Tick, int>> heap_fired;
   Tick now = 0;
@@ -244,24 +289,6 @@ TEST(CalendarQueue, MatchesLegacyHeapOnRandomWorkload) {
   }
   EXPECT_TRUE(heap.empty());
   EXPECT_EQ(cal_fired, heap_fired);
-}
-
-TEST(SimulatorBackend, HeapBackendRunsIdentically) {
-  auto drive = [](EventQueue::Backend backend) {
-    Simulator sim(backend);
-    std::vector<std::pair<Tick, int>> fired;
-    for (int i = 0; i < 10; ++i) {
-      sim.Schedule(static_cast<Tick>(i % 4) * 100, [&fired, i, &sim] {
-        fired.push_back({sim.Now(), i});
-        if (i % 2 == 0) {
-          sim.Schedule(50, [&fired, i, &sim] { fired.push_back({sim.Now(), 100 + i}); });
-        }
-      });
-    }
-    sim.Run();
-    return fired;
-  };
-  EXPECT_EQ(drive(EventQueue::Backend::kCalendar), drive(EventQueue::Backend::kHeap));
 }
 
 }  // namespace

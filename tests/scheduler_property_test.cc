@@ -29,7 +29,10 @@ class RandomWorkload : public Workload {
     double remaining = 1.0;
     for (int m = 0; m < mblks; ++m) {
       MicroblockSpec spec;
-      spec.name = "m" + std::to_string(m);
+      // Appended rather than `"x" + std::to_string(n)`, which GCC 12 at -O3
+      // flags with a false-positive -Wrestrict.
+      spec.name = "m";
+      spec.name += std::to_string(m);
       spec.serial = rng.NextDouble() < 0.3;
       spec.work_fraction = (m == mblks - 1) ? remaining : remaining * rng.NextDouble(0.2, 0.6);
       remaining -= (m == mblks - 1) ? remaining : spec.work_fraction;

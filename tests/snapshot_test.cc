@@ -1,8 +1,8 @@
 // Snapshot/restore property tests (docs/SNAPSHOT.md).
 //
 // The core contract: a run split into K snapshot/resume segments produces
-// run reports byte-identical to the unbroken run — across both event-queue
-// backends, under random fault configs, and with the FTL mid-life (TinyNand
+// run reports byte-identical to the unbroken run — under random fault
+// configs, and with the FTL mid-life (TinyNand
 // keeps GC, journal dumps and wear pressure active between segments). Plus
 // the rejection surface: truncated, corrupt, version-skewed, kind-mismatched
 // and geometry-mismatched snapshots all fail cleanly with an error message,
@@ -46,7 +46,6 @@ void WriteFileBytes(const std::string& path, const std::vector<std::uint8_t>& by
 // simulator checkpoint.
 struct Session {
   FlashAbacusConfig cfg;
-  EventQueue::Backend backend = EventQueue::Backend::kCalendar;
   std::unique_ptr<Simulator> sim;
   std::unique_ptr<FlashAbacus> dev;
   std::vector<std::unique_ptr<AppInstance>> insts;
@@ -54,7 +53,7 @@ struct Session {
 
   void Fresh() {
     dev.reset();
-    sim = std::make_unique<Simulator>(backend);
+    sim = std::make_unique<Simulator>();
     dev = std::make_unique<FlashAbacus>(sim.get(), cfg);
   }
 
@@ -126,12 +125,9 @@ FlashAbacusConfig FaultyTinyConfig(std::uint64_t fault_seed) {
 }
 
 // Runs the scripted session unbroken on one device.
-std::vector<std::string> RunUnbroken(const FlashAbacusConfig& cfg,
-                                     EventQueue::Backend backend,
-                                     const Workload& wl) {
+std::vector<std::string> RunUnbroken(const FlashAbacusConfig& cfg, const Workload& wl) {
   Session s;
   s.cfg = cfg;
-  s.backend = backend;
   s.Fresh();
   s.PrepareInstances(wl, 3, 42);
   for (int p = 0; p < Session::kPhases; ++p) {
@@ -143,19 +139,12 @@ std::vector<std::string> RunUnbroken(const FlashAbacusConfig& cfg,
 
 // Runs the same script split into `boundaries.size() + 1` segments; each
 // boundary snapshots the device to disk and resumes into a brand-new
-// Simulator + FlashAbacus. `resume_backend` lets a segment continue on the
-// other event-queue backend.
-std::vector<std::string> RunSegmented(const FlashAbacusConfig& cfg,
-                                      EventQueue::Backend backend,
-                                      const Workload& wl,
+// Simulator + FlashAbacus.
+std::vector<std::string> RunSegmented(const FlashAbacusConfig& cfg, const Workload& wl,
                                       const std::vector<int>& boundaries,
-                                      const std::string& tag,
-                                      EventQueue::Backend resume_backend =
-                                          EventQueue::Backend::kCalendar,
-                                      bool switch_backend = false) {
+                                      const std::string& tag) {
   Session s;
   s.cfg = cfg;
-  s.backend = backend;
   s.Fresh();
   s.PrepareInstances(wl, 3, 42);
   std::size_t next_cut = 0;
@@ -166,9 +155,6 @@ std::vector<std::string> RunSegmented(const FlashAbacusConfig& cfg,
       const std::string path = TempSnapPath(tag + "_" + std::to_string(p));
       std::string err;
       EXPECT_TRUE(s.dev->Snapshot(path, &err)) << err;
-      if (switch_backend) {
-        s.backend = resume_backend;
-      }
       s.Fresh();
       EXPECT_TRUE(s.dev->Resume(path, &err)) << err;
       std::remove(path.c_str());
@@ -183,14 +169,11 @@ TEST(SnapshotDevice, SegmentedMatchesUnbrokenAcrossRandomFaultConfigs) {
   ASSERT_NE(wl, nullptr);
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const FlashAbacusConfig cfg = FaultyTinyConfig(seed);
-    const auto backend = (seed % 2 == 0) ? EventQueue::Backend::kHeap
-                                         : EventQueue::Backend::kCalendar;
-    const auto unbroken = RunUnbroken(cfg, backend, *wl);
+    const auto unbroken = RunUnbroken(cfg, *wl);
     ASSERT_FALSE(unbroken.empty()) << "seed " << seed;
     // K=2: one cut, rotated through the script by seed.
     const int cut = static_cast<int>(seed % (Session::kPhases - 1));
-    const auto segmented =
-        RunSegmented(cfg, backend, *wl, {cut}, "k2_" + std::to_string(seed));
+    const auto segmented = RunSegmented(cfg, *wl, {cut}, "k2_" + std::to_string(seed));
     EXPECT_EQ(unbroken, segmented) << "seed " << seed << " cut after phase " << cut;
   }
 }
@@ -205,31 +188,12 @@ TEST(SnapshotDevice, FourSegmentsMatchUnbroken) {
   FlashAbacusConfig cfg = FaultyTinyConfig(7);
   cfg.nand.fault.program_failure_rate = 0.0;
   cfg.nand.fault.erase_failure_rate = 0.0;
-  const auto unbroken = RunUnbroken(cfg, EventQueue::Backend::kCalendar, *wl);
+  const auto unbroken = RunUnbroken(cfg, *wl);
   ASSERT_FALSE(unbroken.empty());
   // K=4: cuts after phases 1, 3 and 4 — mid-life FTL, between runs, and
   // right after a post-run install.
-  const auto segmented =
-      RunSegmented(cfg, EventQueue::Backend::kCalendar, *wl, {1, 3, 4}, "k4");
+  const auto segmented = RunSegmented(cfg, *wl, {1, 3, 4}, "k4");
   EXPECT_EQ(unbroken, segmented);
-}
-
-TEST(SnapshotDevice, CrossBackendResumeMatchesUnbroken) {
-  const Workload* wl = WorkloadRegistry::Get().Find("MVT");
-  ASSERT_NE(wl, nullptr);
-  FlashAbacusConfig cfg = FaultyTinyConfig(11);
-  cfg.nand.fault.program_failure_rate = 0.0;  // see FourSegmentsMatchUnbroken
-  cfg.nand.fault.erase_failure_rate = 0.0;
-  // Queue internals are deliberately outside the snapshot, so a run started
-  // on the calendar backend must resume bit-exactly onto the binary heap
-  // (and the unbroken heap run is the cross-check).
-  const auto unbroken_heap = RunUnbroken(cfg, EventQueue::Backend::kHeap, *wl);
-  ASSERT_FALSE(unbroken_heap.empty());
-  const auto switched = RunSegmented(cfg, EventQueue::Backend::kCalendar, *wl,
-                                     {2}, "xbackend",
-                                     EventQueue::Backend::kHeap,
-                                     /*switch_backend=*/true);
-  EXPECT_EQ(unbroken_heap, switched);
 }
 
 // --- Rejection surface ------------------------------------------------------

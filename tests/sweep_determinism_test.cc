@@ -1,8 +1,7 @@
-// Locks down the engine rewrite's two determinism contracts:
-//  1. Thread-count independence: a sweep of independent simulations returns
-//     byte-identical RunReport JSON whether it runs on 1, 2 or 8 threads.
-//  2. Backend equivalence: a whole run replayed on the legacy-style heap
-//     backend produces byte-identical reports to the calendar engine.
+// Locks down the engine's determinism contract: a sweep of independent
+// simulations returns byte-identical RunReport JSON across repeat runs and
+// whether it runs on 1, 2 or 8 threads — on clean runs and, in the slow
+// grids, under random fault configs and mid-run power loss.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,10 +19,9 @@ namespace {
 // Fig-10-style grid, shrunk for test runtime: the five paper systems on one
 // kernel. Report JSON captures makespan, metrics, energy, latency histogram
 // and trace aggregates — everything the figures are derived from.
-BenchOptions SmallOpt(EventQueue::Backend backend = EventQueue::Backend::kCalendar) {
+BenchOptions SmallOpt() {
   BenchOptions opt;
   opt.model_scale = kBenchScale / 4;
-  opt.backend = backend;
   return opt;
 }
 
@@ -70,27 +68,28 @@ TEST(SweepDeterminism, ThreadCountDoesNotChangeReports) {
   }
 }
 
-TEST(SweepDeterminism, HeapAndCalendarBackendsMatch) {
-  const std::vector<std::string> calendar =
-      RunGrid(2, SmallOpt(EventQueue::Backend::kCalendar));
-  const std::vector<std::string> heap = RunGrid(2, SmallOpt(EventQueue::Backend::kHeap));
-  ASSERT_EQ(calendar.size(), heap.size());
-  for (std::size_t i = 0; i < calendar.size(); ++i) {
-    EXPECT_EQ(calendar[i], heap[i]) << "run " << i << " diverged across backends";
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Randomized stress grids (registered separately under the "slow" ctest
 // label; the fast pass filters them out via GTEST_FILTER=-*Slow*).
 //
 // The clean-path tests above leave the recovery machinery cold. These grids
-// push the backend-equivalence contract through the paths where the two
-// event-queue engines are most likely to diverge: wear-dependent read-retry
-// ladders, program-failure re-allocations, die stalls, scripted die kills,
-// and mid-run power loss + FTL rebuild. Every failure message carries the
-// config seed so a divergence is reproducible in isolation.
+// push the repeat-run contract through the paths where hidden state is most
+// likely to leak between runs: wear-dependent read-retry ladders,
+// program-failure re-allocations, die stalls, scripted die kills, and mid-run
+// power loss + FTL rebuild. Every failure message carries the config seed so
+// a divergence is reproducible in isolation.
 // ---------------------------------------------------------------------------
+
+// Runs `jobs` twice, first on a 2-thread pool and then on a 4-thread pool.
+// Every job builds its own simulator, so the second pass is an independent
+// repeat of the first; returns both passes' results, first pass first.
+std::vector<std::string> RunTwiceOnTwoPools(
+    const std::vector<std::function<std::string()>>& jobs) {
+  std::vector<std::string> out = SweepRunner(2).Run(jobs);
+  const std::vector<std::string> repeat = SweepRunner(4).Run(jobs);
+  out.insert(out.end(), repeat.begin(), repeat.end());
+  return out;
+}
 
 FaultConfig RandomFaultConfig(std::uint64_t seed, const NandConfig& nand) {
   Rng rng(seed);
@@ -115,12 +114,8 @@ FaultConfig RandomFaultConfig(std::uint64_t seed, const NandConfig& nand) {
   return f;
 }
 
-std::string RunFaultySystem(std::uint64_t cfg_seed, EventQueue::Backend backend,
-                            int pdes_threads = 0) {
-  BenchOptions opt;
-  opt.backend = backend;
+std::string RunFaultySystem(std::uint64_t cfg_seed) {
   FlashAbacusConfig cfg = FlashAbacusConfig::Small();
-  cfg.pdes_threads = pdes_threads;
   cfg.nand.fault = RandomFaultConfig(cfg_seed, cfg.nand);
   // The scheduler under test is itself part of the drawn config.
   Rng pick(cfg_seed ^ 0xabcdULL);
@@ -129,42 +124,38 @@ std::string RunFaultySystem(std::uint64_t cfg_seed, EventQueue::Backend backend,
                                  SchedulerKind::kIntraInOrder,
                                  SchedulerKind::kIntraOutOfOrder}[pick.NextBelow(4)];
   const Workload* wl = WorkloadRegistry::Get().Find("ATAX");
-  const BenchRun run = RunFlashAbacusSystem({wl}, 2, kind, cfg, opt);
+  const BenchRun run = RunFlashAbacusSystem({wl}, 2, kind, cfg, BenchOptions{});
   EXPECT_TRUE(run.verified) << "fault config seed " << cfg_seed
                             << ": recovery ladder failed to preserve outputs";
   return run.result.ToJson();
 }
 
-TEST(SweepDeterminismSlow, RandomFaultConfigsMatchAcrossBackends) {
-  constexpr int kConfigs = 50;
-  constexpr std::uint64_t kSeedBase = 1000;
-  std::vector<std::function<std::string()>> jobs;
-  for (int backend = 0; backend < 2; ++backend) {
-    for (int i = 0; i < kConfigs; ++i) {
-      const std::uint64_t seed = kSeedBase + static_cast<std::uint64_t>(i);
-      const EventQueue::Backend b =
-          backend == 0 ? EventQueue::Backend::kCalendar : EventQueue::Backend::kHeap;
-      jobs.emplace_back([seed, b] { return RunFaultySystem(seed, b); });
-    }
+TEST(SweepDeterminismSlow, RandomFaultConfigsMatchAcrossRepeats) {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    seeds.push_back(1000 + i);
   }
-  const std::vector<std::string> reports = SweepRunner().Run(std::move(jobs));
-  for (int i = 0; i < kConfigs; ++i) {
-    EXPECT_EQ(reports[static_cast<std::size_t>(i)],
-              reports[static_cast<std::size_t>(kConfigs + i)])
-        << "fault config seed " << (kSeedBase + static_cast<std::uint64_t>(i))
-        << " diverged between the calendar and heap event-queue backends";
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    seeds.push_back(5000 + i);
+  }
+  std::vector<std::function<std::string()>> jobs;
+  for (const std::uint64_t seed : seeds) {
+    jobs.emplace_back([seed] { return RunFaultySystem(seed); });
+  }
+  const std::vector<std::string> reports = RunTwiceOnTwoPools(jobs);
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
+    EXPECT_EQ(reports[i], reports[seeds.size() + i])
+        << "fault config seed " << seeds[i] << " diverged across repeat runs";
   }
 }
 
 // One full power-loss drill: install (journaled + post-journal data), crash
 // mid-run, rebuild the FTL from flash, then rerun to completion. Returns a
 // signature string covering the recovery report, the crash/recovery metrics
-// and the post-recovery RunReport JSON — byte-compared across backends.
-std::string CrashRecoverySignature(std::uint64_t seed, Tick crash_after, bool with_faults,
-                                   EventQueue::Backend backend, int pdes_threads = 0) {
-  Simulator sim(backend);
+// and the post-recovery RunReport JSON — byte-compared across repeat runs.
+std::string CrashRecoverySignature(std::uint64_t seed, Tick crash_after, bool with_faults) {
+  Simulator sim;
   FlashAbacusConfig cfg = FlashAbacusConfig::Small();
-  cfg.pdes_threads = pdes_threads;
   if (with_faults) {
     cfg.nand.fault.seed = seed;
     cfg.nand.fault.read_error_base = 0.02;
@@ -220,130 +211,12 @@ std::string CrashRecoverySignature(std::uint64_t seed, Tick crash_after, bool wi
   EXPECT_TRUE(rerun_done) << "post-recovery rerun did not complete";
   EXPECT_TRUE(wl->Verify(inst1) && wl->Verify(inst2))
       << "post-recovery outputs failed verification (seed " << seed << ")";
-  sig += "\n" + rerun.ToJson();
+  sig += '\n';
+  sig += rerun.ToJson();
   return sig;
 }
 
-// ---------------------------------------------------------------------------
-// Conservative-PDES determinism (docs/PERFORMANCE.md, "Parallel DES"): a
-// device run with pdes_threads > 0 shards the event population across
-// 1 + channels per-channel queues, yet must reproduce the sequential
-// RunReport byte for byte at any thread count and on either sequential
-// baseline backend.
-// ---------------------------------------------------------------------------
-
-TEST(SweepDeterminism, PdesMatchesSequentialQuick) {
-  const std::string sequential =
-      RunFaultySystem(/*cfg_seed=*/3, EventQueue::Backend::kCalendar, /*pdes_threads=*/0);
-  for (int threads : {1, 2}) {
-    EXPECT_EQ(sequential,
-              RunFaultySystem(3, EventQueue::Backend::kCalendar, threads))
-        << "PDES run at " << threads << " threads diverged from sequential";
-  }
-}
-
-// Snapshots taken at the same quiescent point must also be byte-identical
-// across modes, and a snapshot taken under either mode must resume under
-// either (the "sim" section carries only the unified clock and the external
-// event count).
-std::string PdesSnapshotBytesAndRerun(int pdes_threads) {
-  FlashAbacusConfig cfg = FlashAbacusConfig::Small();
-  cfg.pdes_threads = pdes_threads;
-  const Workload* wl = WorkloadRegistry::Get().Find("ATAX");
-  Rng rng(11);
-  AppInstance inst(0, 0, &wl->spec(), cfg.model_scale);
-  wl->Prepare(inst, rng);
-
-  Simulator sim;
-  FlashAbacus dev(&sim, cfg);
-  dev.InstallData(&inst, [](Tick) {});
-  sim.Run();
-  RunReport report;
-  dev.Run({&inst}, SchedulerKind::kInterDynamic, [&](RunReport r) { report = std::move(r); });
-  sim.Run();
-  const std::vector<std::uint8_t> bytes = dev.BuildSnapshot().Serialize();
-
-  // Cross-mode resume: restore into a device running the *other* mode and
-  // make sure it accepts the snapshot and lands on the same clock.
-  FlashAbacusConfig other = cfg;
-  other.pdes_threads = pdes_threads == 0 ? 2 : 0;
-  Simulator sim2;
-  FlashAbacus dev2(&sim2, other);
-  SnapshotFile snap;
-  std::string err;
-  EXPECT_TRUE(SnapshotFile::Parse(bytes, &snap, &err)) << err;
-  EXPECT_TRUE(dev2.Resume(snap, &err)) << err;
-  EXPECT_EQ(sim2.Now(), sim.Now());
-  EXPECT_EQ(sim2.events_executed(), sim.events_executed());
-
-  std::string sig(bytes.begin(), bytes.end());
-  sig += "\n" + report.ToJson();
-  return sig;
-}
-
-TEST(SweepDeterminism, PdesSnapshotsAreByteIdentical) {
-  const std::string sequential = PdesSnapshotBytesAndRerun(0);
-  EXPECT_EQ(sequential, PdesSnapshotBytesAndRerun(1));
-  EXPECT_EQ(sequential, PdesSnapshotBytesAndRerun(4));
-}
-
-TEST(SweepDeterminismSlow, RandomFaultConfigsMatchPdesAcrossThreadCounts) {
-  constexpr int kConfigs = 20;
-  constexpr std::uint64_t kSeedBase = 5000;
-  // Per seed: sequential calendar + heap baselines, PDES on the calendar
-  // backend at 1/2/4 threads, and PDES on the heap backend at 2 threads —
-  // all six must be byte-identical.
-  struct Variant {
-    EventQueue::Backend backend;
-    int pdes_threads;
-    const char* name;
-  };
-  const std::vector<Variant> variants = {
-      {EventQueue::Backend::kCalendar, 0, "seq/calendar"},
-      {EventQueue::Backend::kHeap, 0, "seq/heap"},
-      {EventQueue::Backend::kCalendar, 1, "pdes/calendar/1"},
-      {EventQueue::Backend::kCalendar, 2, "pdes/calendar/2"},
-      {EventQueue::Backend::kCalendar, 4, "pdes/calendar/4"},
-      {EventQueue::Backend::kHeap, 2, "pdes/heap/2"},
-  };
-  std::vector<std::function<std::string()>> jobs;
-  for (const Variant& v : variants) {
-    for (int i = 0; i < kConfigs; ++i) {
-      const std::uint64_t seed = kSeedBase + static_cast<std::uint64_t>(i);
-      jobs.emplace_back([seed, v] { return RunFaultySystem(seed, v.backend, v.pdes_threads); });
-    }
-  }
-  const std::vector<std::string> reports = SweepRunner().Run(std::move(jobs));
-  for (std::size_t vi = 1; vi < variants.size(); ++vi) {
-    for (int i = 0; i < kConfigs; ++i) {
-      EXPECT_EQ(reports[static_cast<std::size_t>(i)],
-                reports[vi * kConfigs + static_cast<std::size_t>(i)])
-          << "fault config seed " << (kSeedBase + static_cast<std::uint64_t>(i))
-          << ": " << variants[vi].name << " diverged from " << variants[0].name;
-    }
-  }
-}
-
-TEST(SweepDeterminismSlow, CrashRecoveryMatchesPdesAcrossThreadCounts) {
-  // The full power-loss drill — mid-run Halt, FTL rebuild, rerun — under the
-  // sharded engine. Exercises the deferred-clear path (Clear from inside an
-  // executing event with worker threads live).
-  const std::vector<Tick> crash_offsets = {400 * kUs, 1700 * kUs, 3800 * kUs};
-  for (std::size_t i = 0; i < crash_offsets.size(); ++i) {
-    const bool with_faults = i % 2 == 0;
-    const std::string sequential = CrashRecoverySignature(
-        7, crash_offsets[i], with_faults, EventQueue::Backend::kCalendar, /*pdes_threads=*/0);
-    for (int threads : {1, 2, 4}) {
-      EXPECT_EQ(sequential,
-                CrashRecoverySignature(7, crash_offsets[i], with_faults,
-                                       EventQueue::Backend::kCalendar, threads))
-          << "crash at +" << crash_offsets[i] / kUs << "us, faults=" << with_faults
-          << " diverged under PDES with " << threads << " threads";
-    }
-  }
-}
-
-TEST(SweepDeterminismSlow, CrashRecoveryMatchesAcrossBackends) {
+TEST(SweepDeterminismSlow, CrashRecoveryMatchesAcrossRepeats) {
   const std::vector<Tick> crash_offsets = {150 * kUs,  400 * kUs,  900 * kUs,
                                            1700 * kUs, 2600 * kUs, 3800 * kUs};
   struct Case {
@@ -356,21 +229,21 @@ TEST(SweepDeterminismSlow, CrashRecoveryMatchesAcrossBackends) {
     cases.push_back({7, crash_offsets[i], i % 2 == 0});
     cases.push_back({21 + i, crash_offsets[i], i % 2 == 1});
   }
+  // The alternation above runs seed 7 fault-free at 400 us and 3800 us;
+  // cover the faulty drill at those offsets too.
+  cases.push_back({7, 400 * kUs, true});
+  cases.push_back({7, 3800 * kUs, true});
   std::vector<std::function<std::string()>> jobs;
-  for (int backend = 0; backend < 2; ++backend) {
-    for (const Case& c : cases) {
-      const EventQueue::Backend b =
-          backend == 0 ? EventQueue::Backend::kCalendar : EventQueue::Backend::kHeap;
-      jobs.emplace_back(
-          [c, b] { return CrashRecoverySignature(c.seed, c.crash_after, c.with_faults, b); });
-    }
+  for (const Case& c : cases) {
+    jobs.emplace_back(
+        [c] { return CrashRecoverySignature(c.seed, c.crash_after, c.with_faults); });
   }
-  const std::vector<std::string> sigs = SweepRunner().Run(std::move(jobs));
+  const std::vector<std::string> sigs = RunTwiceOnTwoPools(jobs);
   for (std::size_t i = 0; i < cases.size(); ++i) {
     EXPECT_EQ(sigs[i], sigs[cases.size() + i])
         << "crash-recovery config (seed " << cases[i].seed << ", crash at +"
         << cases[i].crash_after / kUs << "us, faults=" << cases[i].with_faults
-        << ") diverged between the calendar and heap event-queue backends";
+        << ") diverged across repeat runs";
   }
 }
 
