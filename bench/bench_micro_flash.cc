@@ -3,6 +3,7 @@
 // how many device ops per wall-second the DES can push).
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/flash/flash_backbone.h"
@@ -45,19 +46,41 @@ void BM_ProgramEraseCycle(benchmark::State& state) {
   FlashBackbone bb(BenchNand());
   const int pages = bb.config().pages_per_block;
   const int pkgs = bb.config().packages_per_channel;
+  // Each cycle starts when the previous erase lands, as a device would see
+  // it: the in-flight program list stays one block group deep.
+  Tick now = 0;
   for (auto _ : state) {
     for (int p = 0; p < pages * pkgs; ++p) {
       // Block 1, all slots in flat order (page-major across packages).
       const std::uint64_t g = static_cast<std::uint64_t>(bb.config().pages_per_block) *
                                   pkgs +  // block 1 base
                               static_cast<std::uint64_t>(p);
-      bb.ProgramGroup(0, g, nullptr);
+      benchmark::DoNotOptimize(bb.ProgramGroup(now, g, nullptr).done);
     }
-    bb.EraseBlockGroup(0, 1);
+    now = bb.EraseBlockGroup(now, 1).done;
   }
   state.SetItemsProcessed(state.iterations() * (pages * pkgs + 1));
 }
 BENCHMARK(BM_ProgramEraseCycle);
+
+// N programs issued at one tick, as an install does: none completes, so the
+// in-flight list grows to N. Per-item time must not grow with N.
+void BM_ProgramBacklog(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  NandConfig cfg = BenchNand();
+  cfg.blocks_per_plane = 256;  // 64 Ki groups: room for the largest backlog
+  std::unique_ptr<FlashBackbone> bb;
+  for (auto _ : state) {
+    state.PauseTiming();
+    bb = std::make_unique<FlashBackbone>(cfg);  // the old one is freed untimed too
+    state.ResumeTiming();
+    for (std::uint64_t g = 0; g < n; ++g) {
+      benchmark::DoNotOptimize(bb->ProgramGroup(0, g, nullptr).done);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ProgramBacklog)->RangeMultiplier(4)->Range(1 << 10, 1 << 16);
 
 }  // namespace
 }  // namespace fabacus

@@ -292,18 +292,24 @@ void Flashvisor::DoWrite(IoRequest req, Tick service_end) {
     const Tick staged = dram_->BulkAccess(start, static_cast<double>(req.model_bytes));
     Tick flash_done = staged;
     IoStatus status = IoStatus::kOk;
-    std::vector<std::uint8_t> group_buf(group_bytes);
     for (std::uint64_t i = 0; i < n_groups; ++i) {
       const std::uint64_t lg = first_lg + i;
       const std::uint64_t req_off = i * group_bytes;
       const bool carries_data = req.func_data != nullptr && req_off < req.func_bytes;
       const void* payload = nullptr;
+      // A full group is programmed straight from the kernel's data section;
+      // only a partial last group is staged, zero-padded past func_bytes.
+      std::vector<std::uint8_t> padded;
       if (carries_data) {
+        const std::uint8_t* src = static_cast<const std::uint8_t*>(req.func_data) + req_off;
         const std::uint64_t n = std::min(group_bytes, req.func_bytes - req_off);
-        std::memset(group_buf.data(), 0, group_bytes);
-        std::memcpy(group_buf.data(), static_cast<const std::uint8_t*>(req.func_data) + req_off,
-                    n);
-        payload = group_buf.data();
+        if (n == group_bytes) {
+          payload = src;
+        } else {
+          padded.assign(src, src + n);
+          padded.resize(group_bytes);
+          payload = padded.data();
+        }
       }
       // Program first, then map: the mapping only ever points at a group the
       // device accepted (a program-status fail re-allocates transparently).

@@ -105,17 +105,26 @@ FlashBackbone::OpResult FlashBackbone::ProgramGroup(Tick now, std::uint64_t grou
     // A program only becomes durable when every die reports completion;
     // power loss before `done` tears it (recovery must not trust the data).
     inflight_programs_.push_back(InflightProgram{group, done});
+    inflight_earliest_done_ = std::min(inflight_earliest_done_, done);
   }
   if (any_dead) {
     dead_die_programs_.Add();
     r.status = WorseStatus(r.status, IoStatus::kDegraded);
   }
-  // Lazily prune completed entries so the in-flight list stays small.
-  if (inflight_programs_.size() > 64) {
-    inflight_programs_.erase(
-        std::remove_if(inflight_programs_.begin(), inflight_programs_.end(),
-                       [now](const InflightProgram& p) { return p.done <= now; }),
-        inflight_programs_.end());
+  // Lazily prune completed entries so the in-flight list stays small. Scan
+  // only when something is due: an install issues all its programs at one
+  // `now` and none completes by then, so a scan per program would make
+  // installs quadratic in the backlog.
+  if (inflight_programs_.size() > 64 && inflight_earliest_done_ <= now) {
+    Tick earliest = kNoInflight;
+    std::erase_if(inflight_programs_, [now, &earliest](const InflightProgram& p) {
+      if (p.done <= now) {
+        return true;
+      }
+      earliest = std::min(earliest, p.done);
+      return false;
+    });
+    inflight_earliest_done_ = earliest;
   }
   programs_.Add();
   bytes_programmed_ += static_cast<double>(config_.GroupBytes());
@@ -170,6 +179,7 @@ void FlashBackbone::PowerFail(Tick now) {
     }
   }
   inflight_programs_.clear();
+  inflight_earliest_done_ = kNoInflight;
 }
 
 bool FlashBackbone::IsBadBlockGroup(int block) const {
@@ -314,11 +324,13 @@ void FlashBackbone::LoadState(StateReader& r) {
     return;
   }
   inflight_programs_.clear();
+  inflight_earliest_done_ = kNoInflight;
   for (std::uint64_t i = 0; i < inflight && r.ok(); ++i) {
     InflightProgram p;
     p.group = r.U64();
     p.done = r.U64();
     inflight_programs_.push_back(p);
+    inflight_earliest_done_ = std::min(inflight_earliest_done_, p.done);
   }
   reads_.LoadState(r);
   programs_.LoadState(r);

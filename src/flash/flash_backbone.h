@@ -146,6 +146,10 @@ class FlashBackbone : public Snapshottable {
     Tick done;
   };
   std::vector<InflightProgram> inflight_programs_;
+  // Earliest `done` in inflight_programs_ (kNoInflight when empty): a prune
+  // scan can only remove something once `now` reaches it.
+  static constexpr Tick kNoInflight = ~Tick{0};
+  Tick inflight_earliest_done_ = kNoInflight;
   Counter reads_;
   Counter programs_;
   Counter erases_;

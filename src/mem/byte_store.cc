@@ -14,10 +14,15 @@ void ByteStore::Write(std::uint64_t offset, const void* data, std::uint64_t len)
     const std::uint64_t in_chunk = offset % chunk_size_;
     const std::uint64_t n = std::min<std::uint64_t>(len, chunk_size_ - in_chunk);
     std::vector<std::uint8_t>& chunk = chunks_[chunk_idx];
-    if (chunk.empty()) {
+    if (!chunk.empty()) {
+      std::memcpy(chunk.data() + in_chunk, src, n);
+    } else if (n == chunk_size_) {
+      // Absent and fully covered: build the chunk from the source, no zero-fill.
+      chunk.assign(src, src + n);
+    } else {
       chunk.resize(chunk_size_, 0);
+      std::memcpy(chunk.data() + in_chunk, src, n);
     }
-    std::memcpy(chunk.data() + in_chunk, src, n);
     src += n;
     offset += n;
     len -= n;

@@ -3,15 +3,65 @@
 // counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <random>
 #include <vector>
 
 #include "src/flash/flash_backbone.h"
 #include "src/flash/nand_config.h"
+#include "src/mem/byte_store.h"
+#include "src/noc/srio_link.h"
+#include "src/sim/snapshot.h"
 #include "tests/test_util.h"
 
 namespace fabacus {
 namespace {
+
+std::vector<std::uint8_t> Saved(const Snapshottable& s) {
+  StateWriter w;
+  s.SaveState(w);
+  return w.TakeBuffer();
+}
+
+void Restore(const Snapshottable& from, Snapshottable* to) {
+  const std::vector<std::uint8_t> bytes = Saved(from);
+  StateReader r(bytes);
+  to->LoadState(r);
+  EXPECT_TRUE(r.ok()) << r.error();
+}
+
+struct Program {
+  std::uint64_t group;
+  Tick done;
+  bool operator==(const Program&) const = default;
+};
+
+// Decodes the in-flight program list from the backbone's SaveState bytes:
+// SRIO link, byte store, OOB records, program sequence, block errors, then
+// the list (count, then {group, done} in list order).
+std::vector<Program> SavedInflight(const FlashBackbone& bb) {
+  const std::vector<std::uint8_t> bytes = Saved(bb);
+  StateReader r(bytes);
+  SrioLink srio;
+  srio.LoadState(r);
+  ByteStore store(bb.config().GroupBytes());
+  store.LoadState(r);
+  const std::uint64_t oob = r.U64();
+  for (std::uint64_t i = 0; i < oob; ++i) {
+    r.U32();
+    r.U64();
+  }
+  r.U64();
+  r.VecU64();
+  std::vector<Program> list(r.U64());
+  for (Program& p : list) {
+    p.group = r.U64();
+    p.done = r.U64();
+  }
+  EXPECT_TRUE(r.ok()) << r.error();
+  return list;
+}
 
 TEST(NandGeometry, GroupEncodeDecodeRoundTripsForAllGroups) {
   const NandConfig cfg = TinyNand();
@@ -157,6 +207,97 @@ TEST(FlashBackbone, CountersTrackOperations) {
   EXPECT_EQ(bb.TotalErases(),
             static_cast<std::uint64_t>(bb.config().channels) *
                 bb.config().packages_per_channel);
+}
+
+TEST(FlashBackbone, PowerFailTearsExactlyTheUnfinishedBacklog) {
+  const NandConfig cfg = TinyNand();
+  FlashBackbone bb(cfg);
+  const std::vector<std::uint8_t> data(cfg.GroupBytes(), 0x5A);
+  std::vector<Tick> done;
+  // 200 programs at one tick: the list outgrows the 64-entry prune threshold
+  // while nothing in it has completed.
+  for (std::uint32_t g = 0; g < 200; ++g) {
+    done.push_back(bb.ProgramGroup(0, g, data.data(), g).done);
+  }
+  std::vector<Tick> sorted = done;
+  std::sort(sorted.begin(), sorted.end());
+  const Tick mid = sorted[100];
+  // More programs at the median completion prune the finished half.
+  for (std::uint32_t g = 200; g < 220; ++g) {
+    done.push_back(bb.ProgramGroup(mid, g, data.data(), g).done);
+  }
+  const Tick fail_at = mid + cfg.program_latency / 2;
+  bb.PowerFail(fail_at);
+
+  std::uint64_t want_torn = 0;
+  std::vector<std::uint8_t> out(cfg.GroupBytes());
+  for (std::uint32_t g = 0; g < done.size(); ++g) {
+    const bool torn = done[g] > fail_at;
+    want_torn += torn ? 1 : 0;
+    EXPECT_EQ(bb.Oob(g).tag, torn ? kOobTorn : g) << "group " << g;
+    bb.ReadGroup(fail_at, g, out.data());
+    EXPECT_EQ(out[0], torn ? 0 : 0x5A) << "group " << g;
+  }
+  EXPECT_EQ(bb.torn_groups(), want_torn);
+  EXPECT_GT(want_torn, 0u);
+  EXPECT_LT(want_torn, done.size());
+}
+
+TEST(FlashBackbone, InflightListMatchesEagerPruneReference) {
+  NandConfig cfg = TinyNand();
+  cfg.blocks_per_plane = 64;  // 4096 groups
+  FlashBackbone bb(cfg);
+  std::mt19937_64 rng(13);
+  // The reference prunes with the plain rule: whenever the list holds more
+  // than 64 entries, drop every entry complete by `now`.
+  std::vector<Program> ref;
+  int pruned = 0;
+  int nothing_to_prune = 0;
+  Tick now = 0;
+  for (std::uint64_t g = 0; g < cfg.TotalGroups(); ++g) {
+    if (rng() % 32 == 0) {
+      now += rng() % (20 * kMs);
+    }
+    if (rng() % 1024 == 0) {
+      bb.PowerFail(now);
+      ref.clear();
+    }
+    ref.push_back(Program{g, bb.ProgramGroup(now, g, nullptr).done});
+    if (ref.size() > 64) {
+      const std::size_t removed =
+          std::erase_if(ref, [now](const Program& p) { return p.done <= now; });
+      (removed > 0 ? pruned : nothing_to_prune) += 1;
+    }
+    ASSERT_EQ(SavedInflight(bb), ref) << "after program " << g;
+  }
+  // Both sides of the prune decision ran.
+  EXPECT_GT(pruned, 10);
+  EXPECT_GT(nothing_to_prune, 1000);
+}
+
+TEST(FlashBackbone, ResumedBackboneMatchesUnbroken) {
+  const NandConfig cfg = TinyNand();
+  const std::vector<std::uint8_t> data(cfg.GroupBytes(), 0xC3);
+  FlashBackbone unbroken(cfg);
+  for (std::uint32_t g = 0; g < 100; ++g) {
+    unbroken.ProgramGroup(0, g, data.data(), g);
+  }
+  FlashBackbone resumed(cfg);
+  Restore(unbroken, &resumed);
+  Restore(unbroken.faults(), &resumed.faults());
+  for (int ch = 0; ch < cfg.channels; ++ch) {
+    Restore(unbroken.controller(ch), &resumed.controller(ch));
+  }
+  // Programs issued once part of the loaded backlog has completed: the
+  // resumed backbone prunes it only if loading rebuilt its bookkeeping.
+  const Tick later = 5 * cfg.program_latency;
+  for (FlashBackbone* bb : {&unbroken, &resumed}) {
+    for (std::uint32_t g = 100; g < 150; ++g) {
+      bb->ProgramGroup(later, g, data.data(), g);
+    }
+  }
+  EXPECT_EQ(Saved(resumed), Saved(unbroken));
+  EXPECT_LT(SavedInflight(unbroken).size(), 150u);
 }
 
 TEST(TagQueue, BoundsInFlightOperations) {

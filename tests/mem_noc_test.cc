@@ -2,6 +2,7 @@
 // banking, scratchpad, crossbars, hardware message queues and the SRIO link.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/core/trace.h"
@@ -37,6 +38,12 @@ TEST(ByteStore, WriteReadAcrossChunkBoundary) {
   store.Read(50, out.data(), out.size());
   EXPECT_EQ(in, out);
   EXPECT_GT(store.allocated_chunks(), 2u);
+  // The partly written first and last chunks read back zero around the data.
+  std::vector<std::uint8_t> want(256, 0);
+  std::copy(in.begin(), in.end(), want.begin() + 50);
+  std::vector<std::uint8_t> whole(want.size(), 0xFF);
+  store.Read(0, whole.data(), whole.size());
+  EXPECT_EQ(whole, want);
 }
 
 TEST(ByteStore, EraseReleasesWholeChunks) {
