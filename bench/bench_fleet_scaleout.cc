@@ -11,10 +11,14 @@
 // The mega phase pushes the scenario axis instead of the fidelity axis:
 // 64 synthetic-service devices under 1M and then 10M streamed requests,
 // gating that peak RSS stays flat between the two cells — the streaming-
-// sketch aggregation contract (constant memory in the request count).
+// sketch aggregation contract (constant memory in the request count). Each
+// of its cells runs in a forked child, before the simulated-device cells.
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -178,99 +182,138 @@ void WarmStart(BenchJson* json) {
   emit("warm", warm_rep);
 }
 
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') {
-    return fallback;
-  }
-  return static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
-}
-
 // Mega scale-out: 64 synthetic-service devices, open-loop round-robin, run
 // once at 1M requests and once at 10M. Both cells stream arrivals and retire
 // requests into bounded sketches, so the only per-request state alive at any
 // instant is the in-flight window — peak RSS of the 10M cell must stay
-// within FABACUS_SCALEOUT_RSS_LIMIT_PCT (default 110%) of the 1M cell.
-// Returns non-zero when the memory gate fails.
-int MegaScaleOut(BenchJson* json) {
-  constexpr int kMegaDevices = 64;
-  constexpr double kMegaPerDeviceRate = 5000.0;  // ~63% of synthetic capacity
-  const std::uint64_t base_requests = EnvU64("FABACUS_SCALEOUT_BASE_REQUESTS", 1000000);
-  const std::uint64_t mega_requests = EnvU64("FABACUS_SCALEOUT_MEGA_REQUESTS", 10000000);
-  const std::uint64_t limit_pct = EnvU64("FABACUS_SCALEOUT_RSS_LIMIT_PCT", 110);
+// within 110% of the 1M cell. The gate holds for optimized builds only: an
+// AddressSanitizer build's free quarantine grows with the allocation count.
+constexpr int kMegaDevices = 64;
+constexpr double kMegaPerDeviceRate = 5000.0;  // ~63% of synthetic capacity
+constexpr std::uint64_t kBaseRequests = 1000000;
+constexpr std::uint64_t kMegaRequests = 10000000;
+constexpr std::uint64_t kRssLimitPct = 110;
 
+// One mega cell's results: plain scalars, so the child process that runs
+// the cell can hand them back through a pipe.
+struct MegaCell {
+  double requests = 0.0;
+  double offered = 0.0;
+  double served = 0.0;
+  double shed = 0.0;
+  double throughput_rps = 0.0;
+  double p50 = 0.0;
+  double p99 = 0.0;
+  double makespan_ms = 0.0;
+  double wall_s = 0.0;
+  double peak_rss = 0.0;  // the child's own high-water mark, bytes
+};
+
+MegaCell ServeMegaCell(std::uint64_t requests) {
+  FleetConfig cfg;
+  cfg.num_devices = kMegaDevices;
+  cfg.policy = PlacementPolicy::kRoundRobin;
+  cfg.synthetic_service = true;
+  cfg.traffic.model = TrafficConfig::Model::kOpenLoop;
+  cfg.traffic.seed = 42;
+  cfg.traffic.num_clients = 64;
+  cfg.traffic.arrival_rate_per_s = kMegaPerDeviceRate * kMegaDevices;
+  cfg.traffic.total_requests = static_cast<int>(requests);
+  // Re-route retries keep the cell on the lockstep loop, which streams
+  // arrivals and recycles retired requests; the partitioned path
+  // materializes the whole schedule.
+  cfg.max_route_attempts = 2;
+  const auto start = std::chrono::steady_clock::now();
+  const FleetReport rep = RunFleet(cfg);
+  MegaCell c;
+  c.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  c.requests = static_cast<double>(requests);
+  c.offered = static_cast<double>(rep.offered);
+  c.served = static_cast<double>(rep.served);
+  c.shed = static_cast<double>(rep.shed);
+  c.throughput_rps = rep.throughput_rps;
+  c.p50 = rep.latency_ms.Percentile(50);
+  c.p99 = rep.latency_ms.Percentile(99);
+  c.makespan_ms = TicksToMs(rep.makespan);
+  return c;
+}
+
+// Serves one mega cell in a forked child and takes the child's peak RSS from
+// wait4. ru_maxrss is a per-process monotone high-water mark: run in this
+// process, a cell would read the mark of whatever ran before it. Forked from
+// the same small parent, both cells start alike and each reads only its own
+// peak. Returns false when the child fails.
+bool RunMegaCell(std::uint64_t requests, MegaCell* out) {
+  int fds[2];
+  if (pipe(fds) != 0) {
+    return false;
+  }
+  std::fflush(nullptr);
+  const pid_t pid = fork();
+  if (pid == 0) {
+    close(fds[0]);
+    const MegaCell c = ServeMegaCell(requests);
+    _exit(write(fds[1], &c, sizeof(c)) == static_cast<ssize_t>(sizeof(c)) ? 0 : 1);
+  }
+  close(fds[1]);
+  const bool got = pid > 0 && read(fds[0], out, sizeof(*out)) == static_cast<ssize_t>(sizeof(*out));
+  close(fds[0]);
+  int status = 0;
+  struct rusage ru {};
+  if (pid < 0 || wait4(pid, &status, 0, &ru) != pid || !got || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    return false;
+  }
+  out->peak_rss = static_cast<double>(ru.ru_maxrss) * 1024.0;  // Linux reports KiB
+  return true;
+}
+
+// Prints and records the mega cells, then applies the memory gate. Returns
+// non-zero when it fails.
+int ReportMegaCells(const std::vector<MegaCell>& cells, BenchJson* json) {
   PrintHeader("Mega scale-out: " + std::to_string(kMegaDevices) +
               " synthetic devices, streamed arrivals, bounded-sketch aggregation");
   PrintRow({"requests", "served", "shed%", "req/s", "p50 ms", "p99 ms", "sim s",
             "wall s", "peak rss MB"});
-
-  const auto run_cell = [&](std::uint64_t requests) {
-    FleetConfig cfg;
-    cfg.num_devices = kMegaDevices;
-    cfg.policy = PlacementPolicy::kRoundRobin;
-    cfg.synthetic_service = true;
-    // Force the lockstep loop: it streams arrivals and recycles retired
-    // requests, where the partitioned path materializes the whole schedule.
-    cfg.execution = FleetConfig::Execution::kLockstep;
-    cfg.traffic.model = TrafficConfig::Model::kOpenLoop;
-    cfg.traffic.seed = 42;
-    cfg.traffic.num_clients = 64;
-    cfg.traffic.arrival_rate_per_s = kMegaPerDeviceRate * kMegaDevices;
-    cfg.traffic.total_requests = static_cast<int>(requests);
-    cfg.max_route_attempts = 2;
-    const auto start = std::chrono::steady_clock::now();
-    FleetReport rep = RunFleet(cfg);
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    const std::uint64_t rss = PeakRssBytes();
-
-    const double shed_pct = rep.offered > 0 ? 100.0 * static_cast<double>(rep.shed) /
-                                                  static_cast<double>(rep.offered)
-                                            : 0.0;
-    const double p50 = rep.latency_ms.Percentile(50);
-    const double p99 = rep.latency_ms.Percentile(99);
-    PrintRow({std::to_string(requests), std::to_string(rep.served), Fmt(shed_pct, 2),
-              Fmt(rep.throughput_rps, 0), Fmt(p50, 2), Fmt(p99, 2),
-              Fmt(TicksToMs(rep.makespan) / 1000.0, 1), Fmt(wall_s, 1),
-              Fmt(static_cast<double>(rss) / (1024.0 * 1024.0), 1)});
-    json->AddScalarRow("mega", std::to_string(requests),
+  for (const MegaCell& c : cells) {
+    const std::string requests = std::to_string(static_cast<std::uint64_t>(c.requests));
+    const double shed_pct = c.offered > 0.0 ? 100.0 * c.shed / c.offered : 0.0;
+    PrintRow({requests, std::to_string(static_cast<std::uint64_t>(c.served)),
+              Fmt(shed_pct, 2), Fmt(c.throughput_rps, 0), Fmt(c.p50, 2), Fmt(c.p99, 2),
+              Fmt(c.makespan_ms / 1000.0, 1), Fmt(c.wall_s, 1),
+              Fmt(c.peak_rss / (1024.0 * 1024.0), 1)});
+    json->AddScalarRow("mega", requests,
                        {{"devices", static_cast<double>(kMegaDevices)},
-                        {"requests", static_cast<double>(requests)},
-                        {"offered", static_cast<double>(rep.offered)},
-                        {"served", static_cast<double>(rep.served)},
-                        {"shed", static_cast<double>(rep.shed)},
-                        {"throughput_rps", rep.throughput_rps},
-                        {"latency_p50_ms", p50},
-                        {"latency_p99_ms", p99},
-                        {"makespan_ms", TicksToMs(rep.makespan)},
-                        {"wall_seconds", wall_s},
-                        {"requests_per_wall_sec",
-                         wall_s > 0.0 ? static_cast<double>(requests) / wall_s : 0.0}});
-    return rss;
-  };
-
-  // ru_maxrss is a monotone high-water mark, so running the small cell first
-  // gives the gate its baseline: if the big cell allocates O(requests), the
-  // mark jumps ~10x; if aggregation is bounded, it barely moves.
-  const std::uint64_t rss_base = run_cell(base_requests);
-  const std::uint64_t rss_mega = run_cell(mega_requests);
-  const std::uint64_t ceiling = rss_base / 100 * limit_pct;
+                        {"requests", c.requests},
+                        {"offered", c.offered},
+                        {"served", c.served},
+                        {"shed", c.shed},
+                        {"throughput_rps", c.throughput_rps},
+                        {"latency_p50_ms", c.p50},
+                        {"latency_p99_ms", c.p99},
+                        {"makespan_ms", c.makespan_ms},
+                        {"wall_seconds", c.wall_s},
+                        {"requests_per_wall_sec", c.wall_s > 0.0 ? c.requests / c.wall_s : 0.0}});
+  }
+  const std::uint64_t rss_base = static_cast<std::uint64_t>(cells[0].peak_rss);
+  const std::uint64_t rss_mega = static_cast<std::uint64_t>(cells[1].peak_rss);
+  const std::uint64_t ceiling = rss_base / 100 * kRssLimitPct;
   std::printf("\nMemory gate: peak RSS %.1f MB after %lluM-request cell vs %.1f MB baseline "
               "(ceiling %.1f MB = %llu%%)\n",
               static_cast<double>(rss_mega) / (1024.0 * 1024.0),
-              static_cast<unsigned long long>(mega_requests / 1000000),
+              static_cast<unsigned long long>(kMegaRequests / 1000000),
               static_cast<double>(rss_base) / (1024.0 * 1024.0),
               static_cast<double>(ceiling) / (1024.0 * 1024.0),
-              static_cast<unsigned long long>(limit_pct));
+              static_cast<unsigned long long>(kRssLimitPct));
   if (rss_base > 0 && rss_mega > ceiling) {
     std::fprintf(stderr,
                  "bench_fleet_scaleout: FAIL: fleet aggregation memory is not flat in the "
                  "request count (peak RSS grew past %llu%% of the baseline cell)\n",
-                 static_cast<unsigned long long>(limit_pct));
+                 static_cast<unsigned long long>(kRssLimitPct));
     return 1;
   }
   std::printf("Memory gate: OK (flat aggregation memory at %lluM requests)\n",
-              static_cast<unsigned long long>(mega_requests / 1000000));
+              static_cast<unsigned long long>(kMegaRequests / 1000000));
   return 0;
 }
 
@@ -279,7 +322,15 @@ int MegaScaleOut(BenchJson* json) {
 
 int main() {
   fabacus::BenchJson json("bench_fleet_scaleout");
+  // The mega cells fork while this process is still small (a child's RSS
+  // counts the parent pages it shares) and report after the device cells.
+  std::vector<fabacus::MegaCell> mega(2);
+  if (!fabacus::RunMegaCell(fabacus::kBaseRequests, &mega[0]) ||
+      !fabacus::RunMegaCell(fabacus::kMegaRequests, &mega[1])) {
+    std::fprintf(stderr, "bench_fleet_scaleout: FAIL: a mega-cell child process failed\n");
+    return 1;
+  }
   fabacus::Run(&json);
   fabacus::WarmStart(&json);
-  return fabacus::MegaScaleOut(&json);
+  return fabacus::ReportMegaCells(mega, &json);
 }

@@ -105,10 +105,6 @@ std::string FleetConfig::Validate() const {
     return "synthetic service models no device internals to inject faults into; "
            "disable faults or use real devices";
   }
-  if (execution == Execution::kPartitioned && !CanPartition()) {
-    return "partitioned execution needs open-loop traffic, an oblivious placement "
-           "policy, max_route_attempts == 1 and no fault/retry/hedge machinery";
-  }
   return "";
 }
 
@@ -216,47 +212,14 @@ struct FleetSim::ServeLoop {
   std::priority_queue<Ev, std::vector<Ev>, EvAfter> heap;
   std::uint64_t seq = 0;
 
+  // Queues an event behind every earlier push at the same tick.
+  void Push(Ev e) {
+    e.seq = seq++;
+    heap.push(e);
+  }
   void PushArrival(FleetRequest* r) { PushArrivalAt(r, r->arrival); }
   void PushArrivalAt(FleetRequest* r, Tick t) {
-    Ev e;
-    e.t = t;
-    e.seq = seq++;
-    e.kind = Ev::Kind::kArrival;
-    e.req = r;
-    heap.push(e);
-  }
-  void PushBatchDone(Shard* s, Tick t) {
-    Ev e;
-    e.t = t;
-    e.seq = seq++;
-    e.kind = Ev::Kind::kBatchDone;
-    e.shard = s;
-    e.token = s->batch_gen;
-    heap.push(e);
-  }
-  void PushFault(int idx, Tick t) {
-    Ev e;
-    e.t = t;
-    e.seq = seq++;
-    e.kind = Ev::Kind::kFault;
-    e.fault = idx;
-    heap.push(e);
-  }
-  void PushRecover(Shard* s, Tick t) {
-    Ev e;
-    e.t = t;
-    e.seq = seq++;
-    e.kind = Ev::Kind::kRecover;
-    e.shard = s;
-    heap.push(e);
-  }
-  void PushHedge(FleetRequest* r, Tick t) {
-    Ev e;
-    e.t = t;
-    e.seq = seq++;
-    e.kind = Ev::Kind::kHedge;
-    e.req = r;
-    heap.push(e);
+    Push({.t = t, .kind = Ev::Kind::kArrival, .req = r});
   }
 
   // Pulls the next generator arrival into the heap (streaming path). Called
@@ -282,12 +245,10 @@ struct FleetSim::ServeLoop {
     if (stream_base_id < 0) {
       stream_base_id = slot->id;  // a resumed window's ids continue past 0
     }
-    Ev e;
-    e.t = slot->arrival;
-    e.seq = stream_seq_lo + static_cast<std::uint64_t>(slot->id - stream_base_id);
-    e.kind = Ev::Kind::kArrival;
-    e.req = slot;
-    heap.push(e);
+    heap.push({.t = slot->arrival,
+               .seq = stream_seq_lo + static_cast<std::uint64_t>(slot->id - stream_base_id),
+               .kind = Ev::Kind::kArrival,
+               .req = slot});
   }
 
   void Run() {
@@ -354,8 +315,7 @@ struct FleetSim::ServeLoop {
   }
 
   // Is any of the fault-tolerance machinery live? Every condition here forces
-  // lockstep execution, so partition-legal configs take the legacy serving
-  // path byte for byte.
+  // lockstep execution (CanPartition() refuses it).
   bool FaultsActive() const {
     const FleetConfig& c = fleet->config_;
     return c.faults.Any() || c.policy == PlacementPolicy::kHealthAware ||
@@ -459,68 +419,61 @@ struct FleetSim::ServeLoop {
     Retire(r);
   }
 
+  // The one route-and-admit routine, shared by arrivals and hedges: asks for
+  // up to `attempts` placements of `r`, skipping shard `avoid` and shards
+  // that may not admit, and enqueues it on the first that accepts. Returns
+  // that shard or null; *primary is the first choice. Pre-routed arrivals
+  // (the partitioned path) carry their shard in r->device.
+  Shard* Place(FleetRequest* r, Tick now, int attempts, int avoid, int* primary) {
+    // Healthy oblivious routing reads neither outstanding counts nor health
+    // views, and no shard can be down or breaker-gated: skip building both
+    // (two O(num_devices) allocations per arrival at fleet scale).
+    const bool state_aware = FaultsActive() || !PolicyIsOblivious(fleet->config_.policy);
+    std::vector<int> outstanding;
+    std::vector<ShardHealthView> views;
+    RouteState state;
+    if (state_aware) {
+      outstanding = Outstanding();
+      views = HealthViews(now);
+      state.outstanding = &outstanding;
+      state.health = &views;
+    }
+    for (int attempt = 0; attempt < attempts; ++attempt) {
+      const int d = router == nullptr ? r->device : router->Route(*r, state, attempt);
+      if (attempt == 0) {
+        *primary = d;
+      } else {
+        ++r->route_retries;
+      }
+      if (d == avoid) {
+        continue;  // duplicating onto the same queue hedges nothing
+      }
+      Shard* s = ShardByIndex(d);
+      const ShardHealthView v =
+          state_aware ? views[static_cast<std::size_t>(d)] : ShardHealthView{};
+      if (!CanAdmit(s, v)) {
+        continue;  // the refusal still consumed a routing attempt
+      }
+      if (AdmitTo(s, r, HealthAware() && v.probing, now)) {
+        return s;
+      }
+    }
+    return nullptr;
+  }
+
   void OnArrival(FleetRequest* r, Tick now) {
     if (r->cancelled || r->outcome != FleetRequest::Outcome::kPending) {
       return;  // resolved while the event was in flight (hedge race)
     }
-    Shard* admitted = nullptr;
     int primary = -1;
-    if (router == nullptr) {
-      primary = r->device;  // pre-routed
-      Shard* s = ShardByIndex(primary);
-      if (AdmitTo(s, r, false, now)) {
-        admitted = s;
-      }
-    } else if (!FaultsActive() && PolicyIsOblivious(fleet->config_.policy)) {
-      // Fast path for the common healthy-oblivious case: no shard can be
-      // down, dead or breaker-gated, and round-robin/affinity routing reads
-      // neither outstanding counts nor health views — skip building both
-      // (two O(num_devices) allocations per arrival at fleet scale).
-      RouteState state;
-      for (int attempt = 0; attempt < fleet->config_.max_route_attempts; ++attempt) {
-        const int d = router->Route(*r, state, attempt);
-        if (attempt == 0) {
-          primary = d;
-        } else {
-          ++r->route_retries;
-        }
-        Shard* s = ShardByIndex(d);
-        if (AdmitTo(s, r, false, now)) {
-          admitted = s;
-          break;
-        }
-      }
-    } else {
-      const std::vector<int> outstanding = Outstanding();
-      const std::vector<ShardHealthView> views = HealthViews(now);
-      RouteState state;
-      state.outstanding = &outstanding;
-      state.health = &views;
-      for (int attempt = 0; attempt < fleet->config_.max_route_attempts; ++attempt) {
-        const int d = router->Route(*r, state, attempt);
-        if (attempt == 0) {
-          primary = d;
-        } else {
-          ++r->route_retries;
-        }
-        Shard* s = ShardByIndex(d);
-        if (!CanAdmit(s, views[static_cast<std::size_t>(d)])) {
-          continue;  // the refusal still consumed a routing attempt
-        }
-        const bool probe = HealthAware() && views[static_cast<std::size_t>(d)].probing;
-        if (AdmitTo(s, r, probe, now)) {
-          admitted = s;
-          break;
-        }
-      }
-    }
+    Shard* admitted = Place(r, now, fleet->config_.max_route_attempts, -1, &primary);
     if (admitted == nullptr) {
       ShedRequest(r, ShardByIndex(primary), now);
       return;
     }
-    if (router != nullptr && fleet->config_.hedge_requests && !r->is_hedge && !r->hedged &&
+    if (fleet->config_.hedge_requests && !r->is_hedge && !r->hedged &&
         r->priority == RequestPriority::kLatency) {
-      PushHedge(r, now + fleet->config_.hedge_delay);
+      Push({.t = now + fleet->config_.hedge_delay, .kind = Ev::Kind::kHedge, .req = r});
     }
     if (!admitted->busy) {
       StartBatch(admitted, now);
@@ -651,11 +604,6 @@ struct FleetSim::ServeLoop {
         r->queued_on < 0) {
       return;
     }
-    const std::vector<int> outstanding = Outstanding();
-    const std::vector<ShardHealthView> views = HealthViews(now);
-    RouteState state;
-    state.outstanding = &outstanding;
-    state.health = &views;
     FleetRequest h;
     h.id = r->id;
     h.client_id = r->client_id;
@@ -665,22 +613,8 @@ struct FleetSim::ServeLoop {
     h.is_hedge = true;
     pool->push_back(h);
     FleetRequest* dup = &pool->back();
-    Shard* admitted = nullptr;
-    for (int attempt = 0; attempt < fleet->config_.num_devices && admitted == nullptr;
-         ++attempt) {
-      const int d = router->Route(*dup, state, attempt);
-      if (d == r->queued_on) {
-        continue;  // duplicating onto the same queue hedges nothing
-      }
-      Shard* s = ShardByIndex(d);
-      if (!CanAdmit(s, views[static_cast<std::size_t>(d)])) {
-        continue;
-      }
-      const bool probe = HealthAware() && views[static_cast<std::size_t>(d)].probing;
-      if (AdmitTo(s, dup, probe, now)) {
-        admitted = s;
-      }
-    }
+    int primary = -1;
+    Shard* admitted = Place(dup, now, fleet->config_.num_devices, r->queued_on, &primary);
     if (admitted == nullptr) {
       dup->cancelled = true;  // nowhere to duplicate; the primary rides alone
       return;
@@ -789,7 +723,7 @@ struct FleetSim::ServeLoop {
       PushArrivalAt(r, now);
     }
     if (!permanent) {
-      PushRecover(s, now + std::max<Tick>(downtime, 1));
+      Push({.t = now + std::max<Tick>(downtime, 1), .kind = Ev::Kind::kRecover, .shard = s});
     }
   }
 
@@ -839,8 +773,7 @@ struct FleetSim::ServeLoop {
 
   void MaybeCheckpoint(Shard* s) {
     const FleetFaultConfig& fc = fleet->config_.faults;
-    if (router == nullptr || !fc.Any() ||
-        fc.recovery != FleetFaultConfig::Recovery::kSnapshot) {
+    if (!fc.Any() || fc.recovery != FleetFaultConfig::Recovery::kSnapshot) {
       return;
     }
     if (++s->batches_since_checkpoint < fc.checkpoint_every_batches) {
@@ -877,7 +810,8 @@ struct FleetSim::ServeLoop {
       r->in_flight = true;
       s->current_batch.push_back(r);
     }
-    PushBatchDone(s, RunBatch(s, now));
+    const Tick done = RunBatch(s, now);
+    Push({.t = done, .kind = Ev::Kind::kBatchDone, .shard = s, .token = s->batch_gen});
   }
 
   // Executes the shard's current batch on its device, eagerly running the
@@ -1281,30 +1215,26 @@ FleetReport FleetSim::Run() {
   agg_.client_latency_ms.resize(static_cast<std::size_t>(config_.traffic.num_clients));
 
   std::deque<FleetRequest> pool;
-  const bool partitioned = config_.execution == FleetConfig::Execution::kPartitioned ||
-                           (config_.execution == FleetConfig::Execution::kAuto &&
-                            config_.CanPartition());
+  const bool partitioned = config_.CanPartition();
   if (partitioned) {
-    FAB_CHECK(config_.CanPartition());
-    // Oblivious routing: place the whole schedule up front, then serve every
+    // Oblivious routing: drain the open-loop schedule from the same stream
+    // the lockstep loop reads and place it up front, then serve every
     // shard's slice independently on the sweep pool. Aggregation happens
     // post-hoc in request-id order; the streaming sketches are order-
     // invariant, so the merged report is byte-identical to lockstep
     // execution at any thread count.
-    for (FleetRequest& r : traffic_->InitialArrivals()) {
+    std::vector<std::vector<FleetRequest*>> slices(
+        static_cast<std::size_t>(config_.num_devices));
+    FleetRequest r;
+    while (traffic_->NextArrival(&r)) {
       // A resumed fleet's shard clocks sit at the snapshot point; arrivals
       // shift past it so the new serving window starts where the devices are.
       r.arrival += resume_base_;
+      r.device = router_.Route(r, RouteState{}, 0);
       pool.push_back(r);
+      slices[static_cast<std::size_t>(r.device)].push_back(&pool.back());
     }
-    const std::vector<int> zeros(static_cast<std::size_t>(config_.num_devices), 0);
-    std::vector<std::vector<FleetRequest*>> slices(
-        static_cast<std::size_t>(config_.num_devices));
-    for (FleetRequest& r : pool) {
-      r.device = router_.Route(r, zeros, 0);
-      slices[static_cast<std::size_t>(r.device)].push_back(&r);
-    }
-    SweepRunner runner(config_.sweep_threads);
+    SweepRunner runner;
     runner.RunIndexed(shards_.size(), [&](std::size_t d) {
       ServeLoop loop;
       loop.fleet = this;
@@ -1333,7 +1263,9 @@ FleetReport FleetSim::Run() {
     // resolve fault-first: the arrival routes around the freshly-down shard.
     loop.fault_events = config_.faults.Materialize(config_.num_devices);
     for (std::size_t i = 0; i < loop.fault_events.size(); ++i) {
-      loop.PushFault(static_cast<int>(i), loop.fault_events[i].at);
+      loop.Push({.t = loop.fault_events[i].at,
+                 .kind = ServeLoop::Ev::Kind::kFault,
+                 .fault = static_cast<int>(i)});
     }
     if (config_.traffic.model == TrafficConfig::Model::kOpenLoop) {
       // Stream the open-loop schedule one arrival at a time instead of
@@ -1351,9 +1283,7 @@ FleetReport FleetSim::Run() {
       for (FleetRequest& r : traffic_->InitialArrivals()) {
         r.arrival += resume_base_;
         pool.push_back(r);
-      }
-      for (std::size_t i = 0; i < pool.size(); ++i) {
-        loop.PushArrival(&pool[i]);
+        loop.PushArrival(&pool.back());
       }
     }
     loop.Run();

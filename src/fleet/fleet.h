@@ -8,16 +8,16 @@
 // a request whose dataset is already flash-resident skips the install writes
 // — the locality the data-affinity policy exploits.
 //
-// Execution models, both bit-deterministic per (config, seed):
-//  * kLockstep    — one global event loop advances arrivals and batch
-//    completions in (time, sequence) order across all shards. Required for
-//    closed-loop traffic, state-aware routing and admission re-routing.
-//  * kPartitioned — the whole open-loop schedule is routed up front, then
-//    every shard simulates its own slice concurrently on a SweepRunner pool,
-//    results merging in submission order. Valid only when the routing is
-//    oblivious (round-robin / data-affinity, no re-route retries); produces
-//    byte-identical reports to kLockstep at any thread count (fleet_test
-//    locks both properties down).
+// Two execution paths, bit-deterministic per (config, seed); the config
+// picks one, the caller never does:
+//  * partitioned — when FleetConfig::CanPartition() holds, the open-loop
+//    schedule is drained from the generator and routed up front, then every
+//    shard simulates its own slice concurrently on a SweepRunner pool
+//    (FABACUS_SWEEP_THREADS, else hardware threads), merging in id order.
+//  * lockstep — otherwise, one global event loop advances arrivals and batch
+//    completions in (time, sequence) order across all shards.
+// Reports differ only in FleetReport::execution, which names the path that
+// ran; fleet_test locks this down at any pool width, resumed fleets included.
 //
 // Per-client and per-device latency percentiles, SLO violations, shed/retry
 // counters and queue-depth series all flow through a MetricsRegistry snapshot
@@ -42,8 +42,6 @@
 namespace fabacus {
 
 struct FleetConfig {
-  enum class Execution { kAuto, kLockstep, kPartitioned };
-
   int num_devices = 2;
   // Per-shard device; fault seeds are decorrelated per shard automatically.
   FlashAbacusConfig device = FlashAbacusConfig::Small();
@@ -90,13 +88,10 @@ struct FleetConfig {
   // real path.
   bool synthetic_service = false;
 
-  // kAuto picks kPartitioned when legal (open loop + oblivious policy +
-  // max_route_attempts == 1), else kLockstep.
-  Execution execution = Execution::kAuto;
-  int sweep_threads = 0;  // partitioned pool width; 0 = env/hardware default
-
   // Empty when runnable, else the first problem found.
   std::string Validate() const;
+  // True when the shards are independent enough to serve on the partitioned
+  // path; FleetSim::Run() takes it exactly then.
   bool CanPartition() const;
 };
 

@@ -2,9 +2,9 @@
 //
 // A TrafficGenerator turns a seed plus a TrafficConfig into a deterministic
 // request schedule over a kernel mix drawn from the WorkloadRegistry:
-//  * open loop  — a Poisson arrival process at a fixed aggregate rate; the
-//    whole schedule exists up front, so overload shows up as queueing and
-//    shedding rather than back-pressure on the clients.
+//  * open loop  — a Poisson arrival process at a fixed aggregate rate,
+//    independent of service, so overload shows up as queueing and shedding
+//    rather than back-pressure on the clients.
 //  * closed loop — N clients that each keep one request in flight and think
 //    (exponentially distributed) between completions; arrival times emerge
 //    from the simulation, so the offered load adapts to service latency.
@@ -118,15 +118,13 @@ class TrafficGenerator {
   // Resolved kernel mix, in config order.
   const std::vector<const Workload*>& mix() const { return mix_; }
 
-  // Open loop: the complete arrival schedule, in arrival order.
-  // Closed loop: each client's first request.
+  // Closed loop only: each client's first request (empty for open loop).
   std::vector<FleetRequest> InitialArrivals();
 
-  // Open loop only: emits the next arrival of the exact same schedule
-  // InitialArrivals() materializes, one request at a time (O(1) memory for
-  // unbounded streams — the million-client path). Returns false once
-  // total_requests have been emitted, and always for closed loop. Do not mix
-  // with InitialArrivals() on one generator: both walk the same stream.
+  // Open loop only: emits the schedule's next arrival, one request at a time
+  // (O(1) memory for unbounded streams — the million-client path); the one
+  // open-loop source every fleet execution path drains. Returns false once
+  // total_requests have been emitted, and always for closed loop.
   bool NextArrival(FleetRequest* out);
 
   // Closed loop only: the next request of `client` after its previous one
@@ -153,7 +151,7 @@ class TrafficGenerator {
     next_id_ = r.I32();
     // The open-loop clock and window counter restart on restore: a resumed
     // fleet serves a fresh total_requests window whose arrivals it offsets
-    // by resume_base_, exactly as InitialArrivals() behaves.
+    // by resume_base_.
     open_clock_ = 0;
     open_emitted_ = 0;
     const std::uint64_t n = r.U64();
@@ -177,8 +175,8 @@ class TrafficGenerator {
   std::vector<double> cumulative_weight_;  // normalized CDF over the mix
   Rng rng_;
   int next_id_ = 0;
-  Tick open_clock_ = 0;   // last open-loop arrival time (streaming path)
-  int open_emitted_ = 0;  // arrivals emitted in this window (streaming path)
+  Tick open_clock_ = 0;   // last open-loop arrival time
+  int open_emitted_ = 0;  // open-loop arrivals emitted in this window
   std::vector<int> emitted_per_client_;
 };
 

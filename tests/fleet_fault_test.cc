@@ -8,8 +8,7 @@
 //  * crash + failover + rejoin keeps goodput up (health-aware sheds less
 //    than oblivious round-robin, serves >= 90% of the no-fault run),
 //  * retries, hedging, timeouts and priority shedding account exactly,
-//  * every fault scenario's report is byte-identical across sweep thread
-//    counts and repeat runs.
+//  * every fault scenario's report is byte-identical across repeat runs.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -328,9 +327,10 @@ TEST(FleetConfigFault, ValidateRejectsEachBadKnob) {
   cfg.faults.plan.push_back(CrashEvent(99, kMs, kMs));
   EXPECT_FALSE(cfg.Validate().empty()) << "bad fault plan must surface";
   cfg = ChaosFleet();
+  EXPECT_TRUE(cfg.CanPartition());
   cfg.faults.plan.push_back(CrashEvent(0, kMs, kMs));
-  cfg.execution = FleetConfig::Execution::kPartitioned;
-  EXPECT_FALSE(cfg.Validate().empty()) << "fault injection cannot be partitioned";
+  EXPECT_TRUE(cfg.Validate().empty());
+  EXPECT_FALSE(cfg.CanPartition()) << "fault injection cannot be partitioned";
 }
 
 // The acceptance scenario: one of four shards crashes mid-run and rejoins
@@ -563,9 +563,9 @@ TEST(FleetChaos, SnapshotRecoveryRestoresFromCheckpoint) {
   EXPECT_EQ(rep.ToJson(), again.ToJson());
 }
 
-// Acceptance: every fault scenario's report is byte-identical across sweep
-// thread settings and across repeat runs.
-TEST(FleetChaos, ReportsAreByteIdenticalAcrossThreadsAndRepeats) {
+// Acceptance: every fault scenario's report is byte-identical across repeat
+// runs.
+TEST(FleetChaos, ReportsAreByteIdenticalAcrossRepeats) {
   struct Scenario {
     const char* name;
     FleetFaultEvent event;
@@ -599,14 +599,8 @@ TEST(FleetChaos, ReportsAreByteIdenticalAcrossThreadsAndRepeats) {
     cfg.traffic.total_requests = 48;
     cfg.max_request_retries = 1;
     cfg.faults.plan.push_back(sc.event);
-    cfg.sweep_threads = 1;
-    const std::string one_thread = RunFleet(cfg).ToJson();
-    cfg.sweep_threads = 4;
-    const std::string four_threads = RunFleet(cfg).ToJson();
-    EXPECT_EQ(one_thread, four_threads)
-        << sc.name << ": sweep thread count leaked into the report";
-    cfg.sweep_threads = 1;
-    EXPECT_EQ(one_thread, RunFleet(cfg).ToJson()) << sc.name << ": diverged across repeat runs";
+    EXPECT_EQ(RunFleet(cfg).ToJson(), RunFleet(cfg).ToJson())
+        << sc.name << ": diverged across repeat runs";
   }
 }
 

@@ -4,11 +4,12 @@
 //  * every placement policy enumerates all devices across retry attempts and
 //    honors its documented invariants,
 //  * end-to-end fleet runs conserve requests (served + shed == offered),
-//    verify outputs, and produce byte-identical reports across the lockstep
-//    and partitioned execution paths at any sweep thread count.
+//    verify outputs, and take the partitioned path exactly when the config
+//    allows it, with reports byte-identical to the lockstep path at any
+//    sweep pool width, resumed fleets included.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
@@ -37,6 +38,16 @@ FleetConfig SmallFleet(int devices = 2) {
   return cfg;
 }
 
+// The whole open-loop schedule, drained one arrival at a time.
+std::vector<FleetRequest> DrainOpenLoop(TrafficGenerator& gen) {
+  std::vector<FleetRequest> reqs;
+  FleetRequest r;
+  while (gen.NextArrival(&r)) {
+    reqs.push_back(r);
+  }
+  return reqs;
+}
+
 std::vector<std::string> ScheduleSignature(const std::vector<FleetRequest>& reqs) {
   std::vector<std::string> sig;
   for (const FleetRequest& r : reqs) {
@@ -48,7 +59,8 @@ std::vector<std::string> ScheduleSignature(const std::vector<FleetRequest>& reqs
 
 TEST(Traffic, OpenLoopScheduleIsWellFormed) {
   TrafficGenerator gen(SmallOpenLoop());
-  const std::vector<FleetRequest> reqs = gen.InitialArrivals();
+  EXPECT_TRUE(gen.InitialArrivals().empty()) << "open-loop arrivals come from NextArrival";
+  const std::vector<FleetRequest> reqs = DrainOpenLoop(gen);
   ASSERT_EQ(reqs.size(), 24u);
   EXPECT_EQ(gen.total_requests(), 24);
   Tick prev = 0;
@@ -69,9 +81,9 @@ TEST(Traffic, SameSeedSameSchedule_DifferentSeedDifferentSchedule) {
   TrafficGenerator a(SmallOpenLoop(7));
   TrafficGenerator b(SmallOpenLoop(7));
   TrafficGenerator c(SmallOpenLoop(8));
-  const auto sig_a = ScheduleSignature(a.InitialArrivals());
-  const auto sig_b = ScheduleSignature(b.InitialArrivals());
-  const auto sig_c = ScheduleSignature(c.InitialArrivals());
+  const auto sig_a = ScheduleSignature(DrainOpenLoop(a));
+  const auto sig_b = ScheduleSignature(DrainOpenLoop(b));
+  const auto sig_c = ScheduleSignature(DrainOpenLoop(c));
   EXPECT_EQ(sig_a, sig_b) << "identical seeds must replay the identical schedule";
   EXPECT_NE(sig_a, sig_c) << "a different seed must perturb the schedule";
 }
@@ -274,31 +286,76 @@ std::string NormalizeExecution(std::string json) {
   return json;
 }
 
+// The lockstep twin of a partition-legal config: a second routing attempt
+// forces the global event loop. Callers size the queue so that attempt is
+// never taken, which leaves the served schedule unchanged.
+FleetConfig LockstepReference(FleetConfig cfg) {
+  cfg.max_route_attempts = 2;
+  return cfg;
+}
+
+void ExpectSameReport(const FleetReport& partitioned, const FleetReport& lockstep,
+                      const std::string& what) {
+  EXPECT_EQ(partitioned.execution, "partitioned") << what;
+  EXPECT_EQ(lockstep.execution, "lockstep") << what;
+  EXPECT_EQ(lockstep.route_retries, 0u) << what << ": the reference took a second attempt";
+  EXPECT_EQ(NormalizeExecution(lockstep.ToJson()), partitioned.ToJson())
+      << "paths diverged: " << what;
+}
+
 TEST(FleetSim, LockstepAndPartitionedPathsAreByteIdentical) {
   for (PlacementPolicy policy :
        {PlacementPolicy::kRoundRobin, PlacementPolicy::kDataAffinity}) {
     FleetConfig cfg = SmallFleet(3);
     cfg.policy = policy;
     cfg.traffic.total_requests = 18;
-    cfg.execution = FleetConfig::Execution::kLockstep;
-    const std::string lockstep = RunFleet(cfg).ToJson();
-    cfg.execution = FleetConfig::Execution::kPartitioned;
-    cfg.sweep_threads = 3;
-    const std::string partitioned = RunFleet(cfg).ToJson();
-    EXPECT_EQ(NormalizeExecution(lockstep), partitioned)
-        << "paths diverged under policy " << PlacementPolicyName(policy);
+    cfg.queue_depth = 18;  // no queue can fill
+    ExpectSameReport(RunFleet(cfg), RunFleet(LockstepReference(cfg)),
+                     PlacementPolicyName(policy));
   }
+}
+
+// A resumed open-loop stream carries on the client rotation where the
+// snapshot left it. 21 requests over 4 clients stop mid-rotation, so a path
+// that restarted it at client 0 would shift every per-client latency row.
+TEST(FleetSim, ResumedPartitionedFleetMatchesLockstep) {
+  FleetConfig cfg = SmallFleet(2);
+  cfg.traffic.total_requests = 21;
+  cfg.queue_depth = 21;  // no queue can fill
+  FleetSim first(cfg);
+  ASSERT_EQ(first.Run().execution, "partitioned");
+  SnapshotFile snap;
+  std::string err;
+  ASSERT_TRUE(SnapshotFile::Parse(first.BuildSnapshot().Serialize(), &snap, &err)) << err;
+  const auto resume_and_run = [&](const FleetConfig& c) {
+    FleetSim fleet(c);
+    EXPECT_TRUE(fleet.Resume(snap, &err)) << err;
+    return fleet.Run();
+  };
+  ExpectSameReport(resume_and_run(cfg), resume_and_run(LockstepReference(cfg)),
+                   "resumed fleet");
+}
+
+// Runs `cfg` with the sweep pool pinned to `threads` workers.
+std::string RunWithSweepThreads(const FleetConfig& cfg, const char* threads) {
+  const char* prev = std::getenv("FABACUS_SWEEP_THREADS");
+  const std::string saved = prev != nullptr ? prev : "";
+  setenv("FABACUS_SWEEP_THREADS", threads, 1);
+  const std::string json = RunFleet(cfg).ToJson();
+  if (prev != nullptr) {
+    setenv("FABACUS_SWEEP_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("FABACUS_SWEEP_THREADS");
+  }
+  return json;
 }
 
 TEST(FleetSim, SweepThreadCountDoesNotChangeTheReport) {
   FleetConfig cfg = SmallFleet(4);
   cfg.traffic.total_requests = 24;
-  cfg.execution = FleetConfig::Execution::kPartitioned;
-  cfg.sweep_threads = 1;
-  const std::string serial = RunFleet(cfg).ToJson();
-  cfg.sweep_threads = 4;
-  const std::string parallel = RunFleet(cfg).ToJson();
-  EXPECT_EQ(serial, parallel) << "merged fleet reports must be thread-count invariant";
+  ASSERT_TRUE(cfg.CanPartition());
+  EXPECT_EQ(RunWithSweepThreads(cfg, "1"), RunWithSweepThreads(cfg, "4"))
+      << "merged fleet reports must be thread-count invariant";
 }
 
 TEST(FleetSim, RepeatRunsAreByteIdentical) {
@@ -349,14 +406,31 @@ TEST(FleetConfig, ValidateCatchesContradictions) {
   EXPECT_TRUE(cfg.Validate().empty());
   cfg.max_route_attempts = 3;  // more attempts than devices
   EXPECT_FALSE(cfg.Validate().empty());
-  cfg = SmallFleet(2);
-  cfg.policy = PlacementPolicy::kLeastOutstanding;
-  cfg.execution = FleetConfig::Execution::kPartitioned;
-  EXPECT_FALSE(cfg.Validate().empty()) << "state-aware routing cannot be partitioned";
-  cfg = SmallFleet(2);
-  cfg.traffic.model = TrafficConfig::Model::kClosedLoop;
-  cfg.execution = FleetConfig::Execution::kPartitioned;
-  EXPECT_FALSE(cfg.Validate().empty()) << "closed-loop traffic cannot be partitioned";
+}
+
+TEST(FleetConfig, RunPartitionsExactlyWhenCanPartition) {
+  struct Case {
+    const char* name;
+    FleetConfig cfg;
+    bool partitionable;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"round-robin", SmallFleet(2), true});
+  cases.push_back({"data-affinity", SmallFleet(2), true});
+  cases.back().cfg.policy = PlacementPolicy::kDataAffinity;
+  cases.push_back({"least-outstanding", SmallFleet(2), false});
+  cases.back().cfg.policy = PlacementPolicy::kLeastOutstanding;
+  cases.push_back({"closed loop", SmallFleet(2), false});
+  cases.back().cfg.traffic.model = TrafficConfig::Model::kClosedLoop;
+  cases.push_back({"re-route retries", SmallFleet(2), false});
+  cases.back().cfg.max_route_attempts = 2;
+  for (Case& c : cases) {
+    EXPECT_TRUE(c.cfg.Validate().empty()) << c.name;
+    EXPECT_EQ(c.cfg.CanPartition(), c.partitionable) << c.name;
+    c.cfg.synthetic_service = true;  // the path choice, cheaply
+    EXPECT_EQ(RunFleet(c.cfg).execution, c.partitionable ? "partitioned" : "lockstep")
+        << c.name;
+  }
 }
 
 }  // namespace
