@@ -86,6 +86,14 @@ struct FlashAbacus::RunState {
   std::unordered_map<AppInstance*, int> loads_pending;  // head requests (compute gate)
   std::unordered_map<AppInstance*, int> tails_pending;  // streamed tails
   std::unordered_map<AppInstance*, bool> awaiting_tail; // compute done, tails not
+  // Microblock bodies whose timing finished before the instance's last tail
+  // landed, in completion order; they run when it lands.
+  struct DeferredBody {
+    int mblk;
+    std::size_t begin;
+    std::size_t end;
+  };
+  std::unordered_map<AppInstance*, std::vector<DeferredBody>> deferred_bodies;
   std::unordered_map<AppInstance*, int> stores_pending;
 
   int instances_remaining = 0;
@@ -669,7 +677,17 @@ void FlashAbacus::StreamTail(RunState* rs, AppInstance* inst, DataSection* secti
                  func_remaining - consumed_func);
       return;
     }
-    if (--rs->tails_pending[inst] == 0 && rs->awaiting_tail[inst]) {
+    if (--rs->tails_pending[inst] > 0) {
+      return;
+    }
+    auto deferred = rs->deferred_bodies.find(inst);
+    if (deferred != rs->deferred_bodies.end()) {
+      for (const RunState::DeferredBody& b : deferred->second) {
+        inst->spec().microblocks[static_cast<std::size_t>(b.mblk)].body(*inst, b.begin, b.end);
+      }
+      rs->deferred_bodies.erase(deferred);
+    }
+    if (rs->awaiting_tail[inst]) {
       rs->awaiting_tail[inst] = false;
       StartWriteback(rs, inst);
     }
@@ -824,10 +842,8 @@ void FlashAbacus::RunKernelMicroblock(RunState* rs, AppInstance* inst, int worke
   ScreenRef ref{inst, mblk, 0, 1};
   rs->chain.OnDispatched(ref);
   sim_->ScheduleAt(t.end, [this, rs, inst, worker, mblk, ref]() {
-    const MicroblockSpec& spec = inst->spec().microblocks[static_cast<std::size_t>(mblk)];
-    if (spec.body) {
-      spec.body(*inst, 0, spec.func_iterations);
-    }
+    RunBody(rs, inst, mblk, 0,
+            inst->spec().microblocks[static_cast<std::size_t>(mblk)].func_iterations);
     const bool kernel_done = rs->chain.OnScreenComplete(ref);
     if (!kernel_done) {
       if (ShouldPreemptInter(rs, inst, worker)) {
@@ -900,14 +916,10 @@ void FlashAbacus::ExecuteScreenOn(RunState* rs, const ScreenRef& ref, int worker
   const Lwp::ScreenTiming t = lwp.ExecuteScreen(start, work);
   trace_.Add(TraceTag::kLwpCompute, t.start, t.end, t.avg_fus_busy, lwp.id());
   sim_->ScheduleAt(t.end, [this, rs, ref, worker]() {
-    const MicroblockSpec& spec =
-        ref.inst->spec().microblocks[static_cast<std::size_t>(ref.mblk)];
-    if (spec.body) {
-      std::size_t begin = 0;
-      std::size_t end = 0;
-      ScreenFuncRange(*ref.inst, ref.mblk, ref.screen, ref.num_screens, &begin, &end);
-      spec.body(*ref.inst, begin, end);
-    }
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    ScreenFuncRange(*ref.inst, ref.mblk, ref.screen, ref.num_screens, &begin, &end);
+    RunBody(rs, ref.inst, ref.mblk, begin, end);
     const bool kernel_done = rs->chain.OnScreenComplete(ref);
     rs->worker_free[static_cast<std::size_t>(worker)] = true;
     if (kernel_done) {
@@ -915,6 +927,22 @@ void FlashAbacus::ExecuteScreenOn(RunState* rs, const ScreenRef& ref, int worker
     }
     TryDispatch(rs);
   });
+}
+
+void FlashAbacus::RunBody(RunState* rs, AppInstance* inst, int mblk, std::size_t begin,
+                          std::size_t end) {
+  const MicroblockBody& body = inst->spec().microblocks[static_cast<std::size_t>(mblk)].body;
+  if (!body) {
+    return;
+  }
+  // A screen's timing may end before the instance's streamed tail has landed;
+  // its body then waits for the tail so it never computes on input bytes
+  // flash has not delivered.
+  if (rs->tails_pending[inst] > 0) {
+    rs->deferred_bodies[inst].push_back({mblk, begin, end});
+    return;
+  }
+  body(*inst, begin, end);
 }
 
 void FlashAbacus::StartWriteback(RunState* rs, AppInstance* inst) {

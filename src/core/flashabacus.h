@@ -202,6 +202,9 @@ class FlashAbacus {
   std::size_t PickPendingKernel(const RunState* rs, const std::deque<PendingKernel>& q) const;
   bool ShouldPreemptInter(const RunState* rs, const AppInstance* inst, int worker) const;
   void ExecuteScreenOn(RunState* rs, const ScreenRef& ref, int worker);
+  // Runs microblock `mblk`'s body over [begin, end), or queues it until the
+  // instance's last streamed tail lands.
+  void RunBody(RunState* rs, AppInstance* inst, int mblk, std::size_t begin, std::size_t end);
   void StreamTail(RunState* rs, AppInstance* inst, DataSection* section, std::uint64_t addr,
                   std::uint64_t remaining, std::uint8_t* func_data,
                   std::uint64_t func_remaining);

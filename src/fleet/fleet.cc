@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <queue>
 #include <utility>
 
@@ -42,6 +43,27 @@ void WriteHistogramSummary(JsonWriter* w, const HistogramSummary& s) {
         .Field("max", s.max);
   }
   w->EndObject();
+}
+
+// (buffer index, contents) pairs of an instance's buffers.
+using KeptBuffers = std::vector<std::pair<int, std::vector<float>>>;
+
+// The buffers of `inst` that no input section refills from flash (outputs,
+// scratch, pristine copies), with their current contents.
+KeptBuffers KeepUnrefilledBuffers(const AppInstance& inst) {
+  KeptBuffers kept;
+  const std::vector<DataSectionSpec>& sections = inst.spec().sections;
+  for (std::size_t b = 0; b < inst.buffers().size(); ++b) {
+    const int index = static_cast<int>(b);
+    const bool refilled =
+        std::any_of(sections.begin(), sections.end(), [index](const DataSectionSpec& sec) {
+          return sec.dir == DataSectionSpec::Dir::kIn && sec.buffer_index == index;
+        });
+    if (!refilled) {
+      kept.emplace_back(index, inst.buffers()[b]);
+    }
+  }
+  return kept;
 }
 
 constexpr std::size_t kQueueDepthBuckets = 32;
@@ -128,10 +150,18 @@ struct FleetSim::Shard {
   std::vector<FleetRequest*> current_batch;
 
   // Installed (flash-resident) workload instances, reusable across requests.
+  // A hit runs the resident dataset as is: the device's load refills the
+  // input buffers from flash, `kept` restores the rest, and the outputs are
+  // checked against the slot's own reference.
   struct CachedInstance {
     std::unique_ptr<AppInstance> inst;
     std::uint64_t seed = 0;
     bool in_use = false;
+    // Post-Prepare contents of the buffers no input section refills.
+    KeptBuffers kept;
+    // Expected outputs, computed at the slot's first verification (never
+    // serialized: a resumed shard recomputes it).
+    std::optional<ReferenceOutputs> reference;
   };
   std::vector<std::vector<CachedInstance>> cache;  // [workload_idx]
   // Synthetic service mode: which workloads' datasets this shard has
@@ -867,12 +897,16 @@ struct FleetSim::ServeLoop {
     for (std::size_t i = 0; i < insts.size(); ++i) {
       FleetRequest* r = s->current_batch[i];
       r->complete = stalled ? end : insts[i]->complete_time;
-      if (!failed && fleet->config_.verify_outputs) {
-        s->verified = s->verified &&
-                      fleet->traffic_->mix()[static_cast<std::size_t>(r->workload_idx)]->Verify(
-                          *insts[i]);
+      Shard::CachedInstance& slot = SlotOf(s, r, insts[i]);
+      if (!failed && fleet->config_.verify_outputs && s->verified) {
+        if (!slot.reference) {
+          slot.reference =
+              fleet->traffic_->mix()[static_cast<std::size_t>(r->workload_idx)]->Reference(
+                  *insts[i]);
+        }
+        s->verified = slot.reference->Matches(*insts[i]);
       }
-      Release(s, r, insts[i]);
+      slot.in_use = false;
     }
     s->last_batch_failed = failed;
     s->last_batch_ms = TicksToMs(end - now);
@@ -929,13 +963,14 @@ struct FleetSim::ServeLoop {
       if (slot.in_use) {
         continue;
       }
-      // Dataset already flash-resident: re-prepare the buffers with the
-      // slot's original seed (matching the flash contents) and reset the
+      // Dataset already flash-resident: the run's load refills the input
+      // buffers from flash, so restore only the others and reset the
       // execution timeline.
       slot.in_use = true;
       AppInstance* inst = slot.inst.get();
-      Rng rng(slot.seed);
-      wl->Prepare(*inst, rng);
+      for (const auto& [index, contents] : slot.kept) {
+        inst->buffer(index) = contents;
+      }
       inst->done = false;
       inst->submit_time = 0;
       inst->load_done_time = 0;
@@ -953,18 +988,18 @@ struct FleetSim::ServeLoop {
     s->dev->InstallData(inst.get(), [](Tick) {});
     *fresh_install = true;
     s->stats.installs += 1;
-    cache.push_back({std::move(inst), seed, true});
+    KeptBuffers kept = KeepUnrefilledBuffers(*inst);
+    cache.push_back({std::move(inst), seed, true, std::move(kept), std::nullopt});
     return cache.back().inst.get();
   }
 
-  void Release(Shard* s, FleetRequest* r, AppInstance* inst) {
-    for (Shard::CachedInstance& slot : s->cache[static_cast<std::size_t>(r->workload_idx)]) {
-      if (slot.inst.get() == inst) {
-        slot.in_use = false;
-        return;
-      }
-    }
-    FAB_CHECK(false) << "released instance not in shard cache";
+  static Shard::CachedInstance& SlotOf(Shard* s, const FleetRequest* r, const AppInstance* inst) {
+    auto& slots = s->cache[static_cast<std::size_t>(r->workload_idx)];
+    auto it = std::find_if(slots.begin(), slots.end(), [inst](const Shard::CachedInstance& slot) {
+      return slot.inst.get() == inst;
+    });
+    FAB_CHECK(it != slots.end()) << "instance not in shard cache";
+    return *it;
   }
 };
 
@@ -1039,6 +1074,7 @@ void FleetSim::ReadInstallCache(Shard* shard, StateReader& c) const {
                                                 config_.device.model_scale);
       Rng rng(seed);
       wl->Prepare(*inst, rng);
+      KeptBuffers kept = KeepUnrefilledBuffers(*inst);
       const std::uint64_t n_secs = c.U64();
       if (n_secs != wl->spec().sections.size()) {
         c.Fail("cached instance section count mismatch");
@@ -1052,7 +1088,7 @@ void FleetSim::ReadInstallCache(Shard* shard, StateReader& c) const {
         s.model_bytes = c.U64();
         inst->sections().push_back(s);
       }
-      slots.push_back({std::move(inst), seed, false});
+      slots.push_back({std::move(inst), seed, false, std::move(kept), std::nullopt});
     }
   }
 }

@@ -84,12 +84,14 @@ class NnWorkload : public Workload {
     FillZero(&inst.buffer(3), kK);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> dist(kPoints, 0.0f);
     std::vector<float> topk;
     ComputeDistances(inst.buffer(0), inst.buffer(1), &dist, 0, kPoints);
     SelectTopK(dist, &topk);
-    return NearlyEqual(inst.buffer(3), topk);
+    ReferenceOutputs expected;
+    expected.Add(3, std::move(topk));
+    return expected;
   }
 };
 

@@ -92,12 +92,14 @@ class TwoMmWorkload : public Workload {
     inst.buffer(5) = inst.buffer(3);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> tmp(kN * kN);
     std::vector<float> d = inst.buffer(5);
     FirstProduct(inst.buffer(0), inst.buffer(1), &tmp, 0, kN);
     SecondProduct(tmp, inst.buffer(2), &d, 0, kN);
-    return NearlyEqual(inst.buffer(3), d);
+    ReferenceOutputs expected;
+    expected.Add(3, std::move(d));
+    return expected;
   }
 };
 

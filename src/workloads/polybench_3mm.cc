@@ -73,14 +73,16 @@ class ThreeMmWorkload : public Workload {
     }
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> e(kN * kN);
     std::vector<float> f(kN * kN);
     std::vector<float> g(kN * kN);
     MatmulRows(inst.buffer(0), inst.buffer(1), &e, kN, 0, kN);
     MatmulRows(inst.buffer(2), inst.buffer(3), &f, kN, 0, kN);
     MatmulRows(e, f, &g, kN, 0, kN);
-    return NearlyEqual(inst.buffer(6), g);
+    ReferenceOutputs expected;
+    expected.Add(6, std::move(g));
+    return expected;
   }
 };
 

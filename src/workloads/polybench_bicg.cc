@@ -76,7 +76,7 @@ class BicgWorkload : public Workload {
     FillZero(&inst.buffer(4), kN);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     const std::vector<float>& a = inst.buffer(0);
     const std::vector<float>& p = inst.buffer(1);
     const std::vector<float>& r = inst.buffer(2);
@@ -90,7 +90,10 @@ class BicgWorkload : public Workload {
       }
       q[i] = acc;
     }
-    return NearlyEqual(inst.buffer(3), q) && NearlyEqual(inst.buffer(4), s);
+    ReferenceOutputs expected;
+    expected.Add(3, std::move(q));
+    expected.Add(4, std::move(s));
+    return expected;
   }
 };
 

@@ -136,7 +136,7 @@ class CorrWorkload : public Workload {
     inst.buffer(4) = inst.buffer(0);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> data = inst.buffer(4);
     std::vector<float> mean(kM, 0.0f);
     std::vector<float> sd(kM, 0.0f);
@@ -145,7 +145,10 @@ class CorrWorkload : public Workload {
     Stddevs(data, mean, &sd, 0, kM);
     Normalize(&data, mean, sd, 0, kNSamples);
     CorrRows(data, &corr, 0, kM);
-    return NearlyEqual(inst.buffer(3), corr, 5e-4f);
+    ReferenceOutputs expected;
+    expected.rel_tol = 5e-4f;
+    expected.Add(3, std::move(corr));
+    return expected;
   }
 };
 

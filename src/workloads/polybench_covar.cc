@@ -107,14 +107,17 @@ class CovarWorkload : public Workload {
     inst.buffer(3) = inst.buffer(0);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> data = inst.buffer(3);
     std::vector<float> mean(kM, 0.0f);
     std::vector<float> cov(kM * kM, 0.0f);
     ColumnMeans(data, &mean);
     CenterRows(&data, mean, 0, kNSamples);
     CovRows(data, &cov, 0, kM);
-    return NearlyEqual(inst.buffer(2), cov, 5e-4f);
+    ReferenceOutputs expected;
+    expected.rel_tol = 5e-4f;
+    expected.Add(2, std::move(cov));
+    return expected;
   }
 };
 

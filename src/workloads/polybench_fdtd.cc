@@ -111,15 +111,18 @@ class FdtdWorkload : public Workload {
     inst.buffer(6) = inst.buffer(3);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> ex = inst.buffer(4);
     std::vector<float> ey = inst.buffer(5);
     std::vector<float> hz = inst.buffer(6);
     ApplyFict(inst.buffer(0), &ey);
     UpdateFields(&ex, &ey, hz, 0, kN);
     UpdateHz(&hz, ex, ey, 0, kN);
-    return NearlyEqual(inst.buffer(1), ex) && NearlyEqual(inst.buffer(2), ey) &&
-           NearlyEqual(inst.buffer(3), hz);
+    ReferenceOutputs expected;
+    expected.Add(1, std::move(ex));
+    expected.Add(2, std::move(ey));
+    expected.Add(3, std::move(hz));
+    return expected;
   }
 };
 

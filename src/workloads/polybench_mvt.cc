@@ -68,11 +68,14 @@ class MvtWorkload : public Workload {
     FillZero(&inst.buffer(4), kN);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> x1(kN, 0.0f);
     std::vector<float> x2(kN, 0.0f);
     MvtRows(inst, &x1, &x2, 0, kN);
-    return NearlyEqual(inst.buffer(3), x1) && NearlyEqual(inst.buffer(4), x2);
+    ReferenceOutputs expected;
+    expected.Add(3, std::move(x1));
+    expected.Add(4, std::move(x2));
+    return expected;
   }
 };
 

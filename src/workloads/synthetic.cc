@@ -69,10 +69,12 @@ class SyntheticWorkload : public Workload {
     FillZero(&inst.buffer(1), kElems);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> ref(kElems, 0.0f);
     Transform(inst.buffer(0), &ref, 0, kElems);
-    return NearlyEqual(inst.buffer(1), ref);
+    ReferenceOutputs expected;
+    expected.Add(1, std::move(ref));
+    return expected;
   }
 };
 

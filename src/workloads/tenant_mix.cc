@@ -50,10 +50,12 @@ class BullyWriterWorkload : public Workload {
     FillZero(&inst.buffer(1), kBullyElems);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> ref(kBullyElems, 0.0f);
     Saxpyish(inst.buffer(0), &ref, 0, kBullyElems);
-    return NearlyEqual(inst.buffer(1), ref);
+    ReferenceOutputs expected;
+    expected.Add(1, std::move(ref));
+    return expected;
   }
 };
 
@@ -89,10 +91,12 @@ class LatencyProbeWorkload : public Workload {
     FillZero(&inst.buffer(1), kProbeElems);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> ref(kProbeElems, 0.0f);
     Saxpyish(inst.buffer(0), &ref, 0, kProbeElems);
-    return NearlyEqual(inst.buffer(1), ref);
+    ReferenceOutputs expected;
+    expected.Add(1, std::move(ref));
+    return expected;
   }
 };
 

@@ -20,6 +20,15 @@ bool NearlyEqual(const std::vector<float>& a, const std::vector<float>& b, float
   return true;
 }
 
+bool ReferenceOutputs::Matches(const AppInstance& inst) const {
+  for (const Output& out : outputs) {
+    if (!NearlyEqual(inst.buffer(out.buffer), out.expected, rel_tol)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 WorkloadRegistry::WorkloadRegistry() {
   auto add = [this](std::unique_ptr<Workload> w, std::vector<const Workload*>* group) {
     group->push_back(w.get());

@@ -4,19 +4,40 @@
 //  * the Table-2 model parameters (input MB, LD/ST ratio, B/KI, microblock
 //    structure with serial flags) driving the timing model, and
 //  * a functional implementation: Prepare() fills real input buffers,
-//    microblock bodies compute real outputs, Verify() checks them against an
-//    independent reference implementation.
+//    microblock bodies compute real outputs, Reference() recomputes them with
+//    an independent reference implementation and Verify() compares the two.
 #ifndef SRC_WORKLOADS_WORKLOAD_H_
 #define SRC_WORKLOADS_WORKLOAD_H_
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/kernel.h"
 #include "src/sim/rng.h"
 
 namespace fabacus {
+
+// The outputs a kernel must produce for one instance's inputs, as computed by
+// a workload's reference implementation.
+struct ReferenceOutputs {
+  struct Output {
+    int buffer = -1;              // index into AppInstance::buffers()
+    std::vector<float> expected;  // its expected contents
+  };
+  std::vector<Output> outputs;
+  float rel_tol = 1e-4f;
+
+  // Moves `expected` in as buffer `buffer`'s expected contents.
+  void Add(int buffer, std::vector<float> expected) {
+    outputs.push_back({buffer, std::move(expected)});
+  }
+
+  // True when every listed buffer of `inst` is NearlyEqual to its expected
+  // contents within rel_tol.
+  bool Matches(const AppInstance& inst) const;
+};
 
 class Workload {
  public:
@@ -29,9 +50,14 @@ class Workload {
   // deterministically from `rng`. Outputs are zeroed.
   virtual void Prepare(AppInstance& inst, Rng& rng) const = 0;
 
-  // Recomputes the kernel with a reference implementation from the instance's
-  // (unmodified) input buffers and compares against its outputs.
-  virtual bool Verify(const AppInstance& inst) const = 0;
+  // Recomputes the kernel's outputs with a reference implementation from the
+  // instance's (unmodified) input buffers. The result depends only on what
+  // Prepare() drew (ADI's on an intermediate its kernel derives from that),
+  // so one result serves every run of the same prepared inputs.
+  virtual ReferenceOutputs Reference(const AppInstance& inst) const = 0;
+
+  // Checks the instance's outputs against Reference(inst).
+  bool Verify(const AppInstance& inst) const { return Reference(inst).Matches(inst); }
 
   // True for the compute-intensive group (B/KI below ~10, Fig 10a split).
   bool compute_intensive() const { return spec_.bki < 10.0; }
@@ -40,7 +66,7 @@ class Workload {
   KernelSpec spec_;
 };
 
-// Approximate float comparison used by all Verify() implementations.
+// Approximate float comparison behind ReferenceOutputs::Matches().
 bool NearlyEqual(const std::vector<float>& a, const std::vector<float>& b,
                  float rel_tol = 1e-4f);
 

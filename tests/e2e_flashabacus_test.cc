@@ -2,6 +2,7 @@
 // all four schedulers, with functional verification against references,
 // flash round-trip checks, and observability-layer consistency (metrics
 // snapshot coverage, report JSON, Chrome-trace export).
+#include <algorithm>
 #include <map>
 #include <string>
 
@@ -120,6 +121,40 @@ TEST_P(AllWorkloadsOnDeviceTest, TwoInstancesVerifyUnderIntraO3) {
   ASSERT_TRUE(out.run_done);
   for (const auto& inst : out.instances) {
     EXPECT_TRUE(wl->Verify(*inst)) << wl->name();
+  }
+}
+
+// Kernels compute on the bytes flash delivers, not on what the host prepared:
+// after install every input buffer is overwritten with a sentinel, so a screen
+// whose body ran before its streamed input landed computes on the sentinel and
+// fails verification. Small() at its own scale and Paper() at 1/16 both stream
+// each input as a head plus tail chunks; every scheduler runs.
+TEST_P(AllWorkloadsOnDeviceTest, BodiesRunOnlyOnLandedInputBytes) {
+  const Workload* wl = WorkloadRegistry::Get().Find(GetParam());
+  ASSERT_NE(wl, nullptr);
+  const auto clobber_inputs = [wl](AppInstance& inst) {
+    for (const DataSectionSpec& sec : wl->spec().sections) {
+      if (sec.dir == DataSectionSpec::Dir::kIn && sec.buffer_index >= 0) {
+        std::vector<float>& buf = inst.buffer(sec.buffer_index);
+        std::fill(buf.begin(), buf.end(), 12345.0f);
+      }
+    }
+  };
+  FlashAbacusConfig paper = FlashAbacusConfig::Paper();
+  paper.model_scale = 1.0 / 16;
+  const std::pair<const char*, FlashAbacusConfig> presets[] = {
+      {"Small", FlashAbacusConfig::Small()}, {"Paper", paper}};
+  for (const auto& [preset, cfg] : presets) {
+    for (SchedulerKind kind :
+         {SchedulerKind::kInterStatic, SchedulerKind::kInterDynamic,
+          SchedulerKind::kIntraInOrder, SchedulerKind::kIntraOutOfOrder}) {
+      E2eOutcome out = RunOnFlashAbacus(*wl, 1, kind, cfg, 42, clobber_inputs);
+      ASSERT_TRUE(out.run_done) << preset << " " << SchedulerKindName(kind);
+      for (const auto& inst : out.instances) {
+        EXPECT_TRUE(wl->Verify(*inst)) << preset << " " << SchedulerKindName(kind)
+                                       << " instance " << inst->instance_id();
+      }
+    }
   }
 }
 

@@ -276,6 +276,32 @@ TEST(FleetSim, DataAffinityReusesInstalledDatasets) {
   EXPECT_LT(installs, rep.served) << "affinity routing caps fresh installs well below 1/request";
 }
 
+// An install-cache hit runs the flash-resident dataset as is: the device's
+// load refills the input buffers, the slot restores every other buffer, and
+// the outputs are checked against the slot's own reference. The default mix
+// has no in-place kernels, so only a mix of every registry workload (GEMM,
+// CORR, ADI, ... included) exercises that restore.
+TEST(FleetSim, InstallCacheHitsVerifyOnEveryKernel) {
+  for (SchedulerKind kind : {SchedulerKind::kIntraOutOfOrder, SchedulerKind::kInterStatic}) {
+    FleetConfig cfg = SmallFleet(2);
+    cfg.scheduler = kind;
+    cfg.traffic.arrival_rate_per_s = 25.0;
+    cfg.traffic.total_requests = 200;
+    for (const Workload* wl : WorkloadRegistry::Get().all()) {
+      cfg.traffic.mix.push_back({wl->name(), 1.0});
+    }
+    FleetReport rep = RunFleet(cfg);
+    CheckConservation(rep, 200);
+    EXPECT_EQ(rep.execution, "partitioned") << SchedulerKindName(kind);
+    std::uint64_t hits = 0;
+    for (const FleetDeviceStats& d : rep.devices) {
+      hits += d.install_hits;
+    }
+    EXPECT_GT(hits, 100u) << SchedulerKindName(kind);
+    EXPECT_TRUE(rep.verified) << SchedulerKindName(kind);
+  }
+}
+
 std::string NormalizeExecution(std::string json) {
   const std::string from = "\"execution\":\"lockstep\"";
   const std::string to = "\"execution\":\"partitioned\"";

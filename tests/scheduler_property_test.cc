@@ -71,7 +71,7 @@ class RandomWorkload : public Workload {
     inst.buffer(1).assign(kElems, 0.0f);
   }
 
-  bool Verify(const AppInstance& inst) const override {
+  ReferenceOutputs Reference(const AppInstance& inst) const override {
     std::vector<float> ref(kElems, 0.0f);
     const std::vector<float>& in = inst.buffer(0);
     for (std::size_t m = 0; m < spec_.microblocks.size(); ++m) {
@@ -79,7 +79,9 @@ class RandomWorkload : public Workload {
         ref[i] = ref[i] * 0.5f + in[i] + static_cast<float>(m + 1);
       }
     }
-    return NearlyEqual(inst.buffer(1), ref);
+    ReferenceOutputs expected;
+    expected.Add(1, std::move(ref));
+    return expected;
   }
 
  private:

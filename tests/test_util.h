@@ -2,6 +2,7 @@
 #ifndef TESTS_TEST_UTIL_H_
 #define TESTS_TEST_UTIL_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -34,7 +35,8 @@ inline FlashAbacusConfig TestDeviceConfig() {
 
 // Runs `workload` end to end on a fresh FlashAbacus device under `kind`.
 // Returns the run result; `instances` receives the executed instances so the
-// caller can Verify() them.
+// caller can Verify() them. `after_install`, when set, sees each instance
+// between its install and the run.
 struct E2eOutcome {
   RunReport result;
   std::vector<std::unique_ptr<AppInstance>> instances;
@@ -45,7 +47,8 @@ struct E2eOutcome {
 inline E2eOutcome RunOnFlashAbacus(const Workload& workload, int n_instances,
                                    SchedulerKind kind,
                                    FlashAbacusConfig cfg = TestDeviceConfig(),
-                                   std::uint64_t seed = 42) {
+                                   std::uint64_t seed = 42,
+                                   const std::function<void(AppInstance&)>& after_install = {}) {
   Simulator sim;
   FlashAbacus dev(&sim, cfg);
   Rng rng(seed);
@@ -66,6 +69,11 @@ inline E2eOutcome RunOnFlashAbacus(const Workload& workload, int n_instances,
     });
   }
   sim.Run();
+  if (after_install) {
+    for (AppInstance* inst : raw) {
+      after_install(*inst);
+    }
+  }
   dev.Run(raw, kind, [&](RunReport r) {
     out.result = std::move(r);
     out.run_done = true;

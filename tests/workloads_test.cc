@@ -1,13 +1,17 @@
 // Functional tests for every workload: run the microblock bodies directly
 // (in order, fully fanned out) and check against the reference
-// implementation; validate the Table-2 characteristics and mixes.
+// implementation, which must also reject a wrong output; validate the
+// Table-2 characteristics and mixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/workloads/tenant_mix.h"
 #include "src/workloads/workload.h"
 
 namespace fabacus {
@@ -29,6 +33,29 @@ void RunFunctionally(const Workload& wl, AppInstance* inst, int fanout) {
       }
     }
   }
+}
+
+// Runs `wl` functionally, then moves one element of each reference output
+// buffer past the tolerance in turn: Verify() must accept the computed
+// outputs and reject every perturbed one.
+void ExpectVerifyRejectsPerturbedOutputs(const Workload& wl) {
+  Rng rng(31);
+  AppInstance inst(0, 0, &wl.spec(), 1.0 / 256);
+  wl.Prepare(inst, rng);
+  RunFunctionally(wl, &inst, 4);
+  ASSERT_TRUE(wl.Verify(inst)) << wl.name();
+  const ReferenceOutputs ref = wl.Reference(inst);
+  ASSERT_FALSE(ref.outputs.empty()) << wl.name();
+  for (const ReferenceOutputs::Output& out : ref.outputs) {
+    std::vector<float>& buf = inst.buffer(out.buffer);
+    ASSERT_FALSE(buf.empty()) << wl.name() << " buffer " << out.buffer;
+    const std::size_t k = buf.size() / 2;
+    const float original = buf[k];
+    buf[k] = original + 10.0f * ref.rel_tol * std::max(std::fabs(original), 1.0f);
+    EXPECT_FALSE(wl.Verify(inst)) << wl.name() << " buffer " << out.buffer;
+    buf[k] = original;
+  }
+  EXPECT_TRUE(wl.Verify(inst)) << wl.name();
 }
 
 class WorkloadFunctionalTest : public ::testing::TestWithParam<std::string> {};
@@ -54,6 +81,12 @@ TEST_P(WorkloadFunctionalTest, ScreenSplitInvariantToFanout) {
     RunFunctionally(*wl, &inst, fanout);
     EXPECT_TRUE(wl->Verify(inst)) << "fanout " << fanout;
   }
+}
+
+TEST_P(WorkloadFunctionalTest, VerifyRejectsPerturbedOutputs) {
+  const Workload* wl = WorkloadRegistry::Get().Find(GetParam());
+  ASSERT_NE(wl, nullptr);
+  ExpectVerifyRejectsPerturbedOutputs(*wl);
 }
 
 std::vector<std::string> AllWorkloadNames() {
@@ -182,6 +215,15 @@ TEST(SyntheticWorkload, VerifiesAtEveryRatio) {
     RunFunctionally(*syn, &inst, 4);
     EXPECT_TRUE(syn->Verify(inst)) << "ratio " << ratio;
   }
+}
+
+TEST(SyntheticWorkload, VerifyRejectsPerturbedOutputs) {
+  ExpectVerifyRejectsPerturbedOutputs(*MakeSynthetic(0.5));
+}
+
+TEST(TenantMixWorkloads, VerifyRejectsPerturbedOutputs) {
+  ExpectVerifyRejectsPerturbedOutputs(*MakeBullyWriter());
+  ExpectVerifyRejectsPerturbedOutputs(*MakeLatencyProbe());
 }
 
 }  // namespace
