@@ -5,6 +5,7 @@
 //          2 = stddev (M), 3 = corr (M x M), 4 = pristine data.
 // m0 (serial): means; m1 (parallel over columns): stddev; m2 (parallel over
 // samples): normalize; m3 (parallel over feature rows): correlation.
+#include <algorithm>
 #include <cmath>
 
 #include "src/workloads/polybench_util.h"
@@ -17,25 +18,19 @@ constexpr std::size_t kNSamples = 256;
 constexpr std::size_t kM = 256;
 constexpr float kEps = 0.1f;
 
-void Means(const std::vector<float>& data, std::vector<float>* mean) {
-  for (std::size_t j = 0; j < kM; ++j) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < kNSamples; ++i) {
-      acc += data[i * kM + j];
-    }
-    (*mean)[j] = acc / static_cast<float>(kNSamples);
-  }
-}
-
+// Sweeps the data row by row, so the inner loop is unit-stride; each
+// column's sum still runs over the samples in ascending order.
 void Stddevs(const std::vector<float>& data, const std::vector<float>& mean,
              std::vector<float>* sd, std::size_t begin, std::size_t end) {
-  for (std::size_t j = begin; j < end; ++j) {
-    float acc = 0.0f;
-    for (std::size_t i = 0; i < kNSamples; ++i) {
+  std::fill(sd->begin() + begin, sd->begin() + end, 0.0f);
+  for (std::size_t i = 0; i < kNSamples; ++i) {
+    for (std::size_t j = begin; j < end; ++j) {
       const float d = data[i * kM + j] - mean[j];
-      acc += d * d;
+      (*sd)[j] += d * d;
     }
-    const float v = std::sqrt(acc / static_cast<float>(kNSamples));
+  }
+  for (std::size_t j = begin; j < end; ++j) {
+    const float v = std::sqrt((*sd)[j] / static_cast<float>(kNSamples));
     (*sd)[j] = v <= kEps ? 1.0f : v;
   }
 }
@@ -53,17 +48,9 @@ void Normalize(std::vector<float>* data, const std::vector<float>& mean,
 void CorrRows(const std::vector<float>& data, std::vector<float>* corr, std::size_t begin,
               std::size_t end) {
   for (std::size_t j1 = begin; j1 < end; ++j1) {
-    (*corr)[j1 * kM + j1] = 1.0f;
-    for (std::size_t j2 = 0; j2 < kM; ++j2) {
-      if (j1 == j2) {
-        continue;
-      }
-      float acc = 0.0f;
-      for (std::size_t i = 0; i < kNSamples; ++i) {
-        acc += data[i * kM + j1] * data[i * kM + j2];
-      }
-      (*corr)[j1 * kM + j2] = acc;
-    }
+    float* row = corr->data() + j1 * kM;
+    GramRow(data, kNSamples, kM, j1, row);
+    row[j1] = 1.0f;
   }
 }
 
@@ -82,7 +69,7 @@ class CorrWorkload : public Workload {
     SetMix(&m0, spec_.ldst_ratio, 0.30);
     m0.func_iterations = kM;
     m0.body = [](AppInstance& inst, std::size_t, std::size_t) {
-      Means(inst.buffer(0), &inst.buffer(1));
+      ColumnMeans(inst.buffer(0), kNSamples, kM, &inst.buffer(1));
     };
     spec_.microblocks.push_back(m0);
 
@@ -141,7 +128,7 @@ class CorrWorkload : public Workload {
     std::vector<float> mean(kM, 0.0f);
     std::vector<float> sd(kM, 0.0f);
     std::vector<float> corr(kM * kM, 0.0f);
-    Means(data, &mean);
+    ColumnMeans(data, kNSamples, kM, &mean);
     Stddevs(data, mean, &sd, 0, kM);
     Normalize(&data, mean, sd, 0, kNSamples);
     CorrRows(data, &corr, 0, kM);

@@ -14,20 +14,6 @@ namespace {
 constexpr std::size_t kNSamples = 256;
 constexpr std::size_t kM = 256;
 
-void ColumnMeans(const std::vector<float>& data, std::vector<float>* mean) {
-  for (std::size_t j = 0; j < kM; ++j) {
-    (*mean)[j] = 0.0f;
-  }
-  for (std::size_t i = 0; i < kNSamples; ++i) {
-    for (std::size_t j = 0; j < kM; ++j) {
-      (*mean)[j] += data[i * kM + j];
-    }
-  }
-  for (std::size_t j = 0; j < kM; ++j) {
-    (*mean)[j] /= static_cast<float>(kNSamples);
-  }
-}
-
 void CenterRows(std::vector<float>* data, const std::vector<float>& mean, std::size_t begin,
                 std::size_t end) {
   for (std::size_t i = begin; i < end; ++i) {
@@ -40,12 +26,10 @@ void CenterRows(std::vector<float>* data, const std::vector<float>& mean, std::s
 void CovRows(const std::vector<float>& data, std::vector<float>* cov, std::size_t begin,
              std::size_t end) {
   for (std::size_t j1 = begin; j1 < end; ++j1) {
+    float* row = cov->data() + j1 * kM;
+    GramRow(data, kNSamples, kM, j1, row);
     for (std::size_t j2 = 0; j2 < kM; ++j2) {
-      float acc = 0.0f;
-      for (std::size_t i = 0; i < kNSamples; ++i) {
-        acc += data[i * kM + j1] * data[i * kM + j2];
-      }
-      (*cov)[j1 * kM + j2] = acc / static_cast<float>(kNSamples - 1);
+      row[j2] /= static_cast<float>(kNSamples - 1);
     }
   }
 }
@@ -65,7 +49,7 @@ class CovarWorkload : public Workload {
     SetMix(&m0, spec_.ldst_ratio, 0.30);
     m0.func_iterations = kM;
     m0.body = [](AppInstance& inst, std::size_t, std::size_t) {
-      ColumnMeans(inst.buffer(0), &inst.buffer(1));
+      ColumnMeans(inst.buffer(0), kNSamples, kM, &inst.buffer(1));
     };
     spec_.microblocks.push_back(m0);
 
@@ -111,7 +95,7 @@ class CovarWorkload : public Workload {
     std::vector<float> data = inst.buffer(3);
     std::vector<float> mean(kM, 0.0f);
     std::vector<float> cov(kM * kM, 0.0f);
-    ColumnMeans(data, &mean);
+    ColumnMeans(data, kNSamples, kM, &mean);
     CenterRows(&data, mean, 0, kNSamples);
     CovRows(data, &cov, 0, kM);
     ReferenceOutputs expected;

@@ -12,20 +12,31 @@ namespace {
 
 constexpr std::size_t kN = 768;
 
+// x1 = A y1 is a row dot product. x2 = A^T y2 sweeps A's rows j, with one
+// accumulator per output i in [begin, end), so the inner loop is unit-stride
+// and x2[i] still sums a[j][i] * y2[j] over ascending j.
 void MvtRows(const AppInstance& inst, std::vector<float>* x1, std::vector<float>* x2,
              std::size_t begin, std::size_t end) {
   const std::vector<float>& a = inst.buffer(0);
   const std::vector<float>& y1 = inst.buffer(1);
   const std::vector<float>& y2 = inst.buffer(2);
   for (std::size_t i = begin; i < end; ++i) {
-    float acc1 = 0.0f;
-    float acc2 = 0.0f;
+    float acc = 0.0f;
     for (std::size_t j = 0; j < kN; ++j) {
-      acc1 += a[i * kN + j] * y1[j];
-      acc2 += a[j * kN + i] * y2[j];
+      acc += a[i * kN + j] * y1[j];
     }
-    (*x1)[i] += acc1;
-    (*x2)[i] += acc2;
+    (*x1)[i] += acc;
+  }
+  std::vector<float> acc2(end - begin, 0.0f);
+  for (std::size_t j = 0; j < kN; ++j) {
+    const float y2j = y2[j];
+    const float* a_j = a.data() + j * kN + begin;
+    for (std::size_t i = 0; i < acc2.size(); ++i) {
+      acc2[i] += a_j[i] * y2j;
+    }
+  }
+  for (std::size_t i = begin; i < end; ++i) {
+    (*x2)[i] += acc2[i - begin];
   }
 }
 

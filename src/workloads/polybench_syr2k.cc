@@ -2,6 +2,8 @@
 // 1280 MB, LD/ST 30.19%, B/KI 1.85 (compute-intensive).
 //
 // Buffers: 0 = A, 1 = B, 2 = C (all N x N; C in/out).
+#include <algorithm>
+
 #include "src/workloads/polybench_util.h"
 #include "src/workloads/workload.h"
 
@@ -12,15 +14,29 @@ constexpr std::size_t kN = 192;
 constexpr float kAlpha = 1.5f;
 constexpr float kBeta = 1.2f;
 
+// Output row i accumulates over k with a unit-stride inner loop over j, reading
+// rows k of A^T and B^T: c[i][j] still sums a[i][k] * b[j][k] + b[i][k] * a[j][k]
+// over ascending k, each pair added before it joins the sum. The transposes
+// are local to the call, since screens of one instance may run on different
+// threads.
 void Syr2kRows(const std::vector<float>& a, const std::vector<float>& b,
                std::vector<float>* c, std::size_t begin, std::size_t end) {
+  const std::vector<float> at = Transposed(a, kN);
+  const std::vector<float> bt = Transposed(b, kN);
+  std::vector<float> acc(kN);
   for (std::size_t i = begin; i < end; ++i) {
-    for (std::size_t j = 0; j < kN; ++j) {
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < kN; ++k) {
-        acc += a[i * kN + k] * b[j * kN + k] + b[i * kN + k] * a[j * kN + k];
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    for (std::size_t k = 0; k < kN; ++k) {
+      const float aik = a[i * kN + k];
+      const float bik = b[i * kN + k];
+      const float* at_k = at.data() + k * kN;
+      const float* bt_k = bt.data() + k * kN;
+      for (std::size_t j = 0; j < kN; ++j) {
+        acc[j] += aik * bt_k[j] + bik * at_k[j];
       }
-      (*c)[i * kN + j] = kBeta * (*c)[i * kN + j] + kAlpha * acc;
+    }
+    for (std::size_t j = 0; j < kN; ++j) {
+      (*c)[i * kN + j] = kBeta * (*c)[i * kN + j] + kAlpha * acc[j];
     }
   }
 }

@@ -2,6 +2,8 @@
 // LD/ST 28.21%, B/KI 5.29 (compute-intensive).
 //
 // Buffers: 0 = A (N x N), 1 = C (N x N, in/out).
+#include <algorithm>
+
 #include "src/workloads/polybench_util.h"
 #include "src/workloads/workload.h"
 
@@ -12,15 +14,25 @@ constexpr std::size_t kN = 192;
 constexpr float kAlpha = 1.5f;
 constexpr float kBeta = 1.2f;
 
+// Output row i accumulates over k with a unit-stride inner loop over j, reading
+// A^T's row k (A's column k): c[i][j] still sums a[i][k] * a[j][k] over
+// ascending k. The transpose is local to the call, since screens of one
+// instance may run on different threads.
 void SyrkRows(const std::vector<float>& a, std::vector<float>* c, std::size_t begin,
               std::size_t end) {
+  const std::vector<float> at = Transposed(a, kN);
+  std::vector<float> acc(kN);
   for (std::size_t i = begin; i < end; ++i) {
-    for (std::size_t j = 0; j < kN; ++j) {
-      float acc = 0.0f;
-      for (std::size_t k = 0; k < kN; ++k) {
-        acc += a[i * kN + k] * a[j * kN + k];
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    for (std::size_t k = 0; k < kN; ++k) {
+      const float aik = a[i * kN + k];
+      const float* at_k = at.data() + k * kN;
+      for (std::size_t j = 0; j < kN; ++j) {
+        acc[j] += aik * at_k[j];
       }
-      (*c)[i * kN + j] = kBeta * (*c)[i * kN + j] + kAlpha * acc;
+    }
+    for (std::size_t j = 0; j < kN; ++j) {
+      (*c)[i * kN + j] = kBeta * (*c)[i * kN + j] + kAlpha * acc[j];
     }
   }
 }

@@ -6,6 +6,12 @@
 //  * a functional implementation: Prepare() fills real input buffers,
 //    microblock bodies compute real outputs, Reference() recomputes them with
 //    an independent reference implementation and Verify() compares the two.
+//
+// Bodies and references may reorder their loops (to make the innermost loop
+// unit-stride, say), but every output element must sum the same products in
+// the same order, so outputs stay bit-identical. Verify()'s tolerance would
+// accept a reassociated sum; WorkloadFunctionalTest.OutputsMatchRecordedDigest
+// (tests/workloads_test.cc) does not.
 #ifndef SRC_WORKLOADS_WORKLOAD_H_
 #define SRC_WORKLOADS_WORKLOAD_H_
 
